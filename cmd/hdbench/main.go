@@ -4,28 +4,16 @@
 //
 //	hdbench [-exp all|table1|table2|table3|table4|table5] [-seed N]
 //	        [-dim N] [-folds N] [-trials N] [-quick]
-//	hdbench -json [-json-out BENCH_4.json] [-dim N] [-seed N] [-quick]
-//	hdbench -trend BENCH_3.json BENCH_4.json
-//
-// -json measures the encode, batch-scoring, and HTTP-serving hot paths
-// and writes a schema-versioned BENCH_<n>.json (auto-numbered in the
-// working directory unless -json-out names a path) — one per PR, the
-// repo's benchmark trajectory. -trend diffs two such files and flags
-// >10% regressions without failing (advisory; see
-// scripts/bench_trend.sh).
 //
 // Each experiment prints a table in the paper's layout. The -quick flag
 // shrinks ensembles and epochs for a fast smoke run; the defaults
 // reproduce the paper's configuration (D = 10,000, 10-fold CV, 10 NN
 // trials, full ensembles).
 //
-// The runtime experiment additionally reports the encode path's per-record
-// time and allocations for the legacy (value-returning) API against the
-// destination-passing Into API, which recycles buffers and should sit near
-// zero allocations per record, plus a serving stage split attributing
-// per-record scoring cost to hypervector encoding vs Hamming-distance
-// scoring (the same split hdserve exports at /metrics), so benchmark
-// trajectories can tie a regression to a specific stage.
+// The runtime experiment reproduces the paper's §III fit-time comparison
+// of every model on raw features against hypervectors. Per-layer serving
+// costs (encode, distance, HTTP) are measured by the hdfebench benchmark
+// (bash hdfebench/run.sh) and by `make bench`.
 package main
 
 import (
@@ -60,25 +48,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		curveModel   = fs.String("curve-model", "SGD", "zoo model for -exp curve")
 		curveRepeats = fs.Int("curve-repeats", 5, "resamples per learning-curve point")
 		mcnemarData  = fs.String("mcnemar-dataset", "pima-m", "dataset for -exp mcnemar: pima-r, pima-m, sylhet")
-
-		jsonFlag = fs.Bool("json", false, "write a schema-versioned benchmark JSON (BENCH_<n>.json) instead of tables")
-		jsonOut  = fs.String("json-out", "", "benchmark JSON output path (default: auto-numbered BENCH_<n>.json in the working directory)")
-		trend    = fs.Bool("trend", false, "diff two benchmark JSON files: hdbench -trend PREV LATEST")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *trend {
-		if fs.NArg() != 2 {
-			return fmt.Errorf("-trend takes exactly two BENCH_*.json paths, got %d", fs.NArg())
-		}
-		return runBenchTrend(fs.Arg(0), fs.Arg(1), stdout)
-	}
-	if *jsonFlag {
-		if fs.NArg() > 0 {
-			return fmt.Errorf("unexpected arguments: %v", fs.Args())
-		}
-		return runBenchJSON(*dim, *seed, *quick, *jsonOut, stdout)
 	}
 
 	cfg := tables.Config{Seed: *seed, Dim: *dim, Folds: *folds, Trials: *trials, Quick: *quick}

@@ -33,6 +33,22 @@ func TestRunRuntimeSmoke(t *testing.T) {
 	}
 }
 
+// TestRunEachExperimentSmoke drives every experiment the runtime and
+// table1 smokes leave out through the CLI at a small dimensionality.
+// Ablations is left out: its dimensionality sweep ignores -dim.
+func TestRunEachExperimentSmoke(t *testing.T) {
+	for _, exp := range []string{"table2", "table3", "table4", "table5", "curve", "mcnemar"} {
+		var out, errOut bytes.Buffer
+		args := []string{"-exp", exp, "-quick", "-dim", "256", "-folds", "2", "-trials", "1", "-curve-repeats", "1"}
+		if err := run(args, &out, &errOut); err != nil {
+			t.Fatalf("%s: %v", exp, err)
+		}
+		if !strings.Contains(out.String(), "("+exp+" completed in") {
+			t.Errorf("%s did not complete:\n%s", exp, out.String())
+		}
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if err := run([]string{"-exp", "table99"}, &out, &errOut); err == nil {

@@ -61,18 +61,7 @@ func main() {
 	if err := ext.FitDataset(d); err != nil {
 		log.Fatal(err)
 	}
-	vs := ext.Transform(d.X)
-	posAcc := hv.NewAccumulator(ext.Dim())
-	negAcc := hv.NewAccumulator(ext.Dim())
-	for i, v := range vs {
-		if d.Y[i] == 1 {
-			posAcc.Add(v)
-		} else {
-			negAcc.Add(v)
-		}
-	}
-	protoPos := posAcc.Majority(hv.TieToOne)
-	protoNeg := negAcc.Majority(hv.TieToOne)
+	protoNeg, protoPos := core.Prototypes(ext.Transform(d.X), d.Y, hv.TieToOne)
 	fmt.Printf("class-prototype distance: %.3f normalized (0.5 would be unrelated)\n",
 		hv.NormalizedHamming(protoPos, protoNeg))
 

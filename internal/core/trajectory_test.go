@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hdfe/internal/hv"
+	"hdfe/internal/rng"
 )
 
 func fittedExtractor(t *testing.T, dim int) *Extractor {
@@ -82,12 +83,40 @@ func TestPrototypes(t *testing.T) {
 	if acc := float64(correct) / float64(len(vs)); acc < 0.9 {
 		t.Fatalf("prototype affinity accuracy %v", acc)
 	}
+	// Each prototype is the majority bundle of its class members.
+	var members [2][]hv.Vector
+	for i, v := range vs {
+		members[d.Y[i]] = append(members[d.Y[i]], v)
+	}
+	if !neg.Equal(hv.Bundle(members[0], hv.TieToOne)) || !pos.Equal(hv.Bundle(members[1], hv.TieToOne)) {
+		t.Fatal("prototype != majority bundle of class members")
+	}
+
+	// Bundling denoises: the prototype of many noisy copies is closer to
+	// the clean vector than any one copy is.
+	r := rng.New(3)
+	const dim = 4000
+	clean := hv.Rand(r, dim)
+	noisy := []hv.Vector{hv.Rand(r, dim)} // one negative so both classes exist
+	labels := []int{0}
+	for i := 0; i < 21; i++ {
+		v := clean.Clone()
+		hv.FlipRandom(v, r, dim/4)
+		noisy = append(noisy, v)
+		labels = append(labels, 1)
+	}
+	_, proto := Prototypes(noisy, labels, hv.TieToOne)
+	if hv.Hamming(proto, clean) >= hv.Hamming(noisy[1], clean) {
+		t.Fatalf("prototype at %d from clean, example at %d: bundling failed to denoise",
+			hv.Hamming(proto, clean), hv.Hamming(noisy[1], clean))
+	}
 }
 
 func TestPrototypesPanics(t *testing.T) {
 	vs := []hv.Vector{hv.New(16)}
 	cases := []func(){
 		func() { Prototypes(nil, nil, hv.TieToOne) },
+		func() { Prototypes(vs, []int{0, 1}, hv.TieToOne) },
 		func() { Prototypes(vs, []int{2}, hv.TieToOne) },
 		func() { Prototypes(vs, []int{1}, hv.TieToOne) }, // class 0 absent
 	}

@@ -1,61 +1,10 @@
 package hv
 
 import (
-	"fmt"
 	"math/bits"
 
 	"hdfe/internal/parallel"
 )
-
-// HammingMatrix computes the full pairwise Hamming distance matrix of vs in
-// parallel: out[i][j] = Hamming(vs[i], vs[j]). The matrix is symmetric with
-// a zero diagonal; rows are computed concurrently across GOMAXPROCS workers
-// and each row only computes j > i, mirroring into the lower triangle.
-//
-// This is the kernel behind the paper's leave-one-out Hamming classifier:
-// for n records it needs n(n-1)/2 distance evaluations, each a word-packed
-// XOR+popcount sweep.
-func HammingMatrix(vs []Vector) [][]int {
-	n := len(vs)
-	out := make([][]int, n)
-	flat := make([]int, n*n)
-	for i := range out {
-		out[i] = flat[i*n : (i+1)*n]
-	}
-	if n == 0 {
-		return out
-	}
-	d := vs[0].dim
-	for i, v := range vs {
-		if v.dim != d {
-			panic(fmt.Sprintf("hv: HammingMatrix dim mismatch at %d: %d != %d", i, v.dim, d))
-		}
-	}
-	// Row i costs (n-i-1) distance evaluations, so contiguous chunking
-	// would be imbalanced; interleave rows across workers instead.
-	w := parallel.Workers(n)
-	parallel.For(w, func(worker int) {
-		for i := worker; i < n; i += w {
-			wi := vs[i].words
-			row := out[i]
-			for j := i + 1; j < n; j++ {
-				wj := vs[j].words
-				dist := 0
-				for k, x := range wi {
-					dist += bits.OnesCount64(x ^ wj[k])
-				}
-				row[j] = dist
-			}
-		}
-	})
-	// Mirror the strict upper triangle.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out[j][i] = out[i][j]
-		}
-	}
-	return out
-}
 
 // Distances computes Hamming(query, pool[i]) for all i in parallel and
 // writes them into dst (allocated if nil/short). Used for single-query
@@ -118,38 +67,4 @@ func Nearest(query Vector, pool []Vector, exclude int) (idx, dist int) {
 		panic("hv: Nearest with no candidates")
 	}
 	return idx, dist
-}
-
-// NearestK returns the indices of the k nearest pool vectors to query under
-// Hamming distance in ascending distance order (ties by index), skipping
-// exclude. If fewer than k candidates exist, all are returned.
-func NearestK(query Vector, pool []Vector, exclude, k int) []int {
-	ds := Distances(query, pool, nil)
-	type cand struct{ idx, dist int }
-	cands := make([]cand, 0, len(pool))
-	for i, d := range ds {
-		if i == exclude {
-			continue
-		}
-		cands = append(cands, cand{i, d})
-	}
-	// Partial selection sort: k is tiny (classification k ∈ {1..25}).
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].dist < cands[best].dist ||
-				(cands[j].dist == cands[best].dist && cands[j].idx < cands[best].idx) {
-				best = j
-			}
-		}
-		cands[i], cands[best] = cands[best], cands[i]
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].idx
-	}
-	return out
 }

@@ -78,7 +78,7 @@ func (m *Model) predict(v hv.Vector, ds []int) (int, []int) {
 }
 
 // voteK returns the number of positive labels among the k nearest stored
-// vectors (ties by index, matching hv.NearestK) and the neighbour count.
+// vectors (ties by index) and the neighbour count.
 // It keeps the running top-k in stack buffers so batch prediction stays
 // allocation-free for the k values classification uses (k up to 32; larger
 // k falls back to an allocating full selection).

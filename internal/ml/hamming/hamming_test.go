@@ -1,6 +1,7 @@
 package hamming
 
 import (
+	"sort"
 	"testing"
 
 	"hdfe/internal/hv"
@@ -73,6 +74,46 @@ func TestKVoting(t *testing.T) {
 	m3 := Fit([]hv.Vector{near, mid1, mid2}, []int{0, 1, 1}, 3)
 	if m3.Predict(base) != 1 {
 		t.Fatal("k=3 should out-vote nearest")
+	}
+}
+
+// TestKVotingMatchesSortReference pins voteK's stack top-k (k <= 32) and
+// its sorting fallback (k > 32) against a plain sort of all distances,
+// ties broken by index. Distances drawn from a range of five values make
+// ties at the top-k boundary the common case.
+func TestKVotingMatchesSortReference(t *testing.T) {
+	const n = 80
+	r := rng.New(10)
+	vs := make([]hv.Vector, n)
+	y := make([]int, n)
+	for i := range vs {
+		vs[i] = hv.Rand(r, 64)
+		y[i] = r.Intn(2)
+	}
+	ds := make([]int, n)
+	idx := make([]int, n)
+	for _, k := range []int{2, 3, 8, 32, 33, 50} {
+		m := Fit(vs, y, k)
+		for trial := 0; trial < 200; trial++ {
+			for i := range ds {
+				ds[i] = r.Intn(5)
+				idx[i] = i
+			}
+			sort.SliceStable(idx, func(a, b int) bool { return ds[idx[a]] < ds[idx[b]] })
+			want := 0
+			for _, i := range idx[:k] {
+				want += y[i]
+			}
+			if pos, got := m.voteK(ds); pos != want || got != k {
+				t.Fatalf("k=%d trial %d: voteK = (%d, %d), want (%d, %d)", k, trial, pos, got, want, k)
+			}
+		}
+		// Score is the vote share for k > 1.
+		q := hv.Rand(r, 64)
+		pos, _ := m.voteK(hv.DistancesSerial(q, vs, nil))
+		if got := m.Score(q); got != float64(pos)/float64(k) {
+			t.Fatalf("k=%d: score %v, want %v", k, got, float64(pos)/float64(k))
+		}
 	}
 }
 

@@ -218,36 +218,44 @@ func evalGCPause(samples []wdSample, cfg WatchdogConfig) (value float64, firing 
 }
 
 // transition applies edge-triggering: the first tick a condition holds
-// logs one warning and captures evidence (the profile kind that explains
-// the anomaly) out of cycle; the first tick it clears logs recovery.
+// captures evidence (the profile kind that explains the anomaly) out of
+// cycle and logs one warning; the first tick it clears logs recovery.
+// Capture first, then fire: a transition is published to WatchdogStates
+// only after its capture and log line exist, and Firing, Since, Triggers
+// and LastCaptureID are published together, so a reader that sees a
+// firing watchdog also sees the evidence it names.
 func (w *watchdogs) transition(name string, value float64, firing bool, captureKind string) {
 	w.p.wdMu.Lock()
 	st := w.states[name]
 	wasFiring := st.Firing
 	st.Value = value
-	st.Firing = firing
-	if firing && !wasFiring {
-		st.Since = time.Now()
-		st.Triggers++
-	}
 	threshold := st.Threshold
 	w.p.wdMu.Unlock()
 
 	switch {
 	case firing && !wasFiring:
-		// Capture first: the log line then names the evidence.
+		since := time.Now()
 		var captureID uint64
-		if meta, err := w.p.CaptureSnapshot(captureKind, "watchdog:"+name); err == nil {
+		meta, err := w.p.CaptureSnapshot(captureKind, "watchdog:"+name)
+		if err == nil {
 			captureID = meta.ID
-			w.p.wdMu.Lock()
-			st.LastCaptureID = captureID
-			w.p.wdMu.Unlock()
 		}
 		w.p.cfg.Logger.Warn("runtime watchdog firing",
 			"watchdog", name, "value", value, "threshold", threshold,
 			"capture_id", captureID, "capture_kind", captureKind)
+		w.p.wdMu.Lock()
+		st.Firing = true
+		st.Since = since
+		st.Triggers++
+		if err == nil {
+			st.LastCaptureID = captureID
+		}
+		w.p.wdMu.Unlock()
 	case !firing && wasFiring:
 		w.p.cfg.Logger.Info("runtime watchdog recovered",
 			"watchdog", name, "value", value, "threshold", threshold)
+		w.p.wdMu.Lock()
+		st.Firing = false
+		w.p.wdMu.Unlock()
 	}
 }

@@ -119,6 +119,12 @@ func (p *PromWriter) HistogramExemplars(name string, bounds []float64, counts []
 	p.printf("%s_count%s %d\n", name, formatLabels(labels), cum)
 }
 
+// LatencyHistogram emits a Histogram snapshot as a *_seconds histogram
+// family on the LatencyBound ladder; ex is as for HistogramExemplars.
+func (p *PromWriter) LatencyHistogram(name string, s HistogramSnapshot, ex []*Exemplar, labels ...string) {
+	p.HistogramExemplars(name, latencyBoundsSeconds, s.Buckets[:], s.Sum.Seconds(), ex, labels...)
+}
+
 // GoRuntime emits the Go runtime gauge/counter set: goroutines, heap
 // sizes, GC cycle count and cumulative pause time. ReadMemStats causes a
 // brief stop-the-world, which is fine at scrape frequency.

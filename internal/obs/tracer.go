@@ -23,31 +23,10 @@ type Trace struct {
 	Stages [NumStages]time.Duration
 }
 
-// stageHist is one stage's lock-free latency histogram: bounded buckets
-// plus an overflow bucket, with total count and summed duration for
-// Prometheus _sum/_count.
-type stageHist struct {
-	buckets [NumLatencyBuckets + 1]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // nanoseconds
-}
-
-func (h *stageHist) observe(d time.Duration) {
-	i := 0
-	for i < NumLatencyBuckets && d > LatencyBound(i) {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(uint64(d))
-}
-
 // StageStats is a point-in-time copy of one stage's histogram.
 type StageStats struct {
-	Stage   string
-	Buckets [NumLatencyBuckets + 1]uint64 // per-bucket (non-cumulative) counts
-	Count   uint64
-	Sum     time.Duration
+	Stage string
+	HistogramSnapshot
 }
 
 // Tracer owns the per-stage histograms and the recent/slowest trace
@@ -56,7 +35,7 @@ type StageStats struct {
 type Tracer struct {
 	nextID atomic.Uint64
 	seed   uint64 // trace/span ID derivation seed
-	hist   [NumStages]stageHist
+	hist   [NumStages]Histogram
 	pool   sync.Pool
 
 	mu        sync.Mutex
@@ -230,7 +209,7 @@ func (a *ActiveTrace) Finish(status int) Trace {
 	tr := a.tr
 	for s := 0; s < NumStages; s++ {
 		if d := a.t.Stages[s]; d > 0 {
-			tr.hist[s].observe(d)
+			tr.hist[s].Observe(d)
 		}
 	}
 	t := a.t
@@ -269,13 +248,7 @@ func (tr *Tracer) record(t Trace) {
 func (tr *Tracer) StageSnapshot() [NumStages]StageStats {
 	var out [NumStages]StageStats
 	for s := 0; s < NumStages; s++ {
-		st := StageStats{Stage: Stage(s).String()}
-		for i := range tr.hist[s].buckets {
-			st.Buckets[i] = tr.hist[s].buckets[i].Load()
-		}
-		st.Count = tr.hist[s].count.Load()
-		st.Sum = time.Duration(tr.hist[s].sum.Load())
-		out[s] = st
+		out[s] = StageStats{Stage: Stage(s).String(), HistogramSnapshot: tr.hist[s].Snapshot()}
 	}
 	return out
 }

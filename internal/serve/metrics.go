@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -35,14 +34,6 @@ func batchBucket(n int) int {
 	}
 }
 
-// latencyBuckets are exponential upper bounds in microseconds: 50µs
-// doubling up to ~1.6s, plus an overflow bucket.
-const numLatencyBuckets = 16
-
-func latencyBound(i int) time.Duration {
-	return 50 * time.Microsecond << uint(i)
-}
-
 // Metrics is the server's lock-free counter set. All fields are updated
 // with atomics; Snapshot produces a consistent-enough view for an
 // expvar-style /metrics endpoint (counters may be a hair out of sync with
@@ -63,14 +54,12 @@ type Metrics struct {
 
 	shed [numShedReasons]atomic.Uint64 // overload-protection rejections by reason
 
-	latencyHist [numLatencyBuckets + 1]atomic.Uint64
-	latencyObs  atomic.Uint64
-	latencySum  atomic.Uint64 // nanoseconds, for Prometheus _sum
+	latency obs.Histogram // end-to-end request latency
 
 	// latencyEx pins the most recent trace per latency bucket, exposed
 	// as OpenMetrics exemplars so a dashboard histogram links straight
 	// to a concrete trace.
-	latencyEx [numLatencyBuckets + 1]atomic.Pointer[latencyExemplar]
+	latencyEx [obs.NumLatencyBuckets + 1]atomic.Pointer[latencyExemplar]
 }
 
 // latencyExemplar is one bucket's most recent (traceID, latency) pair.
@@ -130,13 +119,7 @@ func (m *Metrics) ObserveLatency(d time.Duration) { m.ObserveLatencyTrace(d, "")
 // ObserveLatencyTrace is ObserveLatency also pinning traceID as the
 // bucket's exemplar (skipped when empty).
 func (m *Metrics) ObserveLatencyTrace(d time.Duration, traceID string) {
-	i := 0
-	for i < numLatencyBuckets && d > latencyBound(i) {
-		i++
-	}
-	m.latencyHist[i].Add(1)
-	m.latencyObs.Add(1)
-	m.latencySum.Add(uint64(d))
+	i := m.latency.Observe(d)
 	if traceID != "" {
 		m.latencyEx[i].Store(&latencyExemplar{traceID: traceID, d: d, ts: time.Now()})
 	}
@@ -145,46 +128,13 @@ func (m *Metrics) ObserveLatencyTrace(d time.Duration, traceID string) {
 // latencyExemplars materializes the per-bucket exemplars in the shape
 // obs.PromWriter.HistogramExemplars renders (nil entries skip).
 func (m *Metrics) latencyExemplars() []*obs.Exemplar {
-	out := make([]*obs.Exemplar, numLatencyBuckets+1)
+	out := make([]*obs.Exemplar, len(m.latencyEx))
 	for i := range m.latencyEx {
 		if e := m.latencyEx[i].Load(); e != nil {
 			out[i] = &obs.Exemplar{TraceID: e.traceID, Value: e.d.Seconds(), Ts: e.ts}
 		}
 	}
 	return out
-}
-
-// quantile returns the upper bound of the first latency bucket whose
-// cumulative count reaches q of all observations (0 when empty). Bucketed
-// quantiles overestimate by at most one bucket width — plenty for p50/p99
-// dashboards.
-func (m *Metrics) quantile(q float64) time.Duration {
-	total := m.latencyObs.Load()
-	if total == 0 {
-		return 0
-	}
-	// Rank of the q-quantile order statistic. Ceiling, not truncation:
-	// with 9 fast samples and 1 overflow sample, p99's rank must be 10
-	// (the overflow sample), not 9 — truncation let an empty-tail
-	// histogram report a p99 below an observed overflow latency.
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
-	var cum uint64
-	for i := range m.latencyHist {
-		cum += m.latencyHist[i].Load()
-		if cum >= target {
-			if i >= numLatencyBuckets {
-				return latencyBound(numLatencyBuckets-1) * 2
-			}
-			return latencyBound(i)
-		}
-	}
-	return latencyBound(numLatencyBuckets-1) * 2
 }
 
 // BatchBucket is one batch-size histogram cell.
@@ -215,6 +165,7 @@ type Snapshot struct {
 
 // Snapshot materializes the current counters.
 func (m *Metrics) Snapshot() Snapshot {
+	lat := m.latency.Snapshot()
 	s := Snapshot{
 		UptimeSeconds:    time.Since(m.start).Seconds(),
 		ScoreRequests:    m.scoreRequests.Load(),
@@ -227,9 +178,9 @@ func (m *Metrics) Snapshot() Snapshot {
 		ShedDeadline:     m.shed[ShedDeadline].Load(),
 		ShedDraining:     m.shed[ShedDraining].Load(),
 		Batches:          m.batches.Load(),
-		LatencyP50Micros: float64(m.quantile(0.50)) / float64(time.Microsecond),
-		LatencyP90Micros: float64(m.quantile(0.90)) / float64(time.Microsecond),
-		LatencyP99Micros: float64(m.quantile(0.99)) / float64(time.Microsecond),
+		LatencyP50Micros: float64(lat.Quantile(0.50)) / float64(time.Microsecond),
+		LatencyP90Micros: float64(lat.Quantile(0.90)) / float64(time.Microsecond),
+		LatencyP99Micros: float64(lat.Quantile(0.99)) / float64(time.Microsecond),
 	}
 	for i := range m.batchHist {
 		s.BatchSizes = append(s.BatchSizes, BatchBucket{Size: batchBucketLabels[i], Count: m.batchHist[i].Load()})

@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"hdfe/internal/obs"
 )
 
 func TestBatchBuckets(t *testing.T) {
@@ -51,7 +53,7 @@ func TestMetricsSnapshot(t *testing.T) {
 
 func TestLatencyQuantiles(t *testing.T) {
 	m := NewMetrics()
-	if m.quantile(0.5) != 0 {
+	if m.latency.Snapshot().Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile not 0")
 	}
 	// 90 fast requests, 10 slow: p50 lands in the fast bucket, p99 in the
@@ -62,7 +64,7 @@ func TestLatencyQuantiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.ObserveLatency(30 * time.Millisecond)
 	}
-	p50, p99 := m.quantile(0.50), m.quantile(0.99)
+	p50, p99 := m.latency.Snapshot().Quantile(0.50), m.latency.Snapshot().Quantile(0.99)
 	if p50 > 100*time.Microsecond {
 		t.Errorf("p50 %v, want the fast bucket", p50)
 	}
@@ -76,7 +78,7 @@ func TestLatencyQuantiles(t *testing.T) {
 	// Overflow bucket: beyond the last bound.
 	m2 := NewMetrics()
 	m2.ObserveLatency(time.Hour)
-	if q := m2.quantile(0.5); q < latencyBound(numLatencyBuckets-1) {
+	if q := m2.latency.Snapshot().Quantile(0.5); q < obs.LatencyBound(obs.NumLatencyBuckets-1) {
 		t.Errorf("overflow quantile %v below the last bound", q)
 	}
 }
@@ -90,44 +92,44 @@ func TestQuantileEmptyTailOverflow(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		m.ObserveLatency(40 * time.Microsecond)
 	}
-	m.ObserveLatency(time.Hour) // overflow: beyond latencyBound(15)
-	if q := m.quantile(0.99); q < latencyBound(numLatencyBuckets-1) {
+	m.ObserveLatency(time.Hour) // overflow: beyond obs.LatencyBound(15)
+	if q := m.latency.Snapshot().Quantile(0.99); q < obs.LatencyBound(obs.NumLatencyBuckets-1) {
 		t.Errorf("p99 = %v, below the overflow sample's lower bound %v",
-			q, latencyBound(numLatencyBuckets-1))
+			q, obs.LatencyBound(obs.NumLatencyBuckets-1))
 	}
 	// p50 still sits in the fast bucket.
-	if q := m.quantile(0.50); q > latencyBound(0) {
+	if q := m.latency.Snapshot().Quantile(0.50); q > obs.LatencyBound(0) {
 		t.Errorf("p50 = %v, want the first bucket", q)
 	}
 	// q=1.0 is the maximum: always at least the overflow bound.
-	if q := m.quantile(1.0); q < latencyBound(numLatencyBuckets-1) {
+	if q := m.latency.Snapshot().Quantile(1.0); q < obs.LatencyBound(obs.NumLatencyBuckets-1) {
 		t.Errorf("p100 = %v, below the overflow bound", q)
 	}
 }
 
 // TestLatencyBucketBoundaries pins the bucket-edge contract: a sample
-// exactly on a bound (d == latencyBound(i)) belongs to bucket i, and one
+// exactly on a bound (d == obs.LatencyBound(i)) belongs to bucket i, and one
 // nanosecond more spills into bucket i+1.
 func TestLatencyBucketBoundaries(t *testing.T) {
-	for i := 0; i < numLatencyBuckets; i++ {
+	for i := 0; i < obs.NumLatencyBuckets; i++ {
 		m := NewMetrics()
-		m.ObserveLatency(latencyBound(i))
-		if got := m.latencyHist[i].Load(); got != 1 {
-			t.Errorf("d == latencyBound(%d): bucket %d count %d, want 1", i, i, got)
+		m.ObserveLatency(obs.LatencyBound(i))
+		if got := m.latency.Snapshot().Buckets[i]; got != 1 {
+			t.Errorf("d == obs.LatencyBound(%d): bucket %d count %d, want 1", i, i, got)
 		}
-		m.ObserveLatency(latencyBound(i) + time.Nanosecond)
-		if got := m.latencyHist[i+1].Load(); got != 1 {
-			t.Errorf("d == latencyBound(%d)+1ns: bucket %d count %d, want 1", i, i+1, got)
+		m.ObserveLatency(obs.LatencyBound(i) + time.Nanosecond)
+		if got := m.latency.Snapshot().Buckets[i+1]; got != 1 {
+			t.Errorf("d == obs.LatencyBound(%d)+1ns: bucket %d count %d, want 1", i, i+1, got)
 		}
 	}
 	// Sum/count accounting for the Prometheus _sum line.
 	m := NewMetrics()
 	m.ObserveLatency(100 * time.Microsecond)
 	m.ObserveLatency(300 * time.Microsecond)
-	if got := time.Duration(m.latencySum.Load()); got != 400*time.Microsecond {
+	if got := m.latency.Snapshot().Sum; got != 400*time.Microsecond {
 		t.Errorf("latency sum %v, want 400µs", got)
 	}
-	if got := m.latencyObs.Load(); got != 2 {
+	if got := m.latency.Snapshot().Count; got != 2 {
 		t.Errorf("latency count %d, want 2", got)
 	}
 }

@@ -75,25 +75,12 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		float64(m.microbatchedRecords.Load()))
 
 	p.Header("hdserve_request_duration_seconds", "histogram", "End-to-end request latency.")
-	latBounds := make([]float64, numLatencyBuckets)
-	latCounts := make([]uint64, numLatencyBuckets+1)
-	for i := 0; i < numLatencyBuckets; i++ {
-		latBounds[i] = latencyBound(i).Seconds()
-		latCounts[i] = m.latencyHist[i].Load()
-	}
-	latCounts[numLatencyBuckets] = m.latencyHist[numLatencyBuckets].Load()
-	p.HistogramExemplars("hdserve_request_duration_seconds", latBounds, latCounts,
-		float64(m.latencySum.Load())/1e9, m.latencyExemplars())
+	p.LatencyHistogram("hdserve_request_duration_seconds", m.latency.Snapshot(), m.latencyExemplars())
 
 	p.Header("hdserve_stage_duration_seconds", "histogram",
 		"Per-request pipeline stage time (validate, batch_wait, encode, score, respond).")
-	stageBounds := make([]float64, obs.NumLatencyBuckets)
-	for i := range stageBounds {
-		stageBounds[i] = obs.LatencyBound(i).Seconds()
-	}
 	for _, st := range s.tracer.StageSnapshot() {
-		p.Histogram("hdserve_stage_duration_seconds", stageBounds, st.Buckets[:],
-			st.Sum.Seconds(), "stage", st.Stage)
+		p.LatencyHistogram("hdserve_stage_duration_seconds", st.HistogramSnapshot, nil, "stage", st.Stage)
 	}
 
 	s.promDrift(p)

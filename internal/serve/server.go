@@ -282,7 +282,7 @@ func New(sc core.Scorer, cfg Config) *Server {
 	// Slow-trace cutoff for tail sampling: the live p99 latency — any
 	// trace at or past it is always exported, whatever the head fraction.
 	s.sampler = export.NewSampler(cfg.TraceSample, cfg.TraceSeed,
-		func() time.Duration { return m.quantile(0.99) })
+		func() time.Duration { return m.latency.Snapshot().Quantile(0.99) })
 	// Adopt and promote the boot model before the batcher starts: the
 	// batch loop assumes the active slot is never empty.
 	s.reg.Promote(s.adopt(sc, cfg.ModelName, cfg.ModelPath, cfg.ModelSHA256))

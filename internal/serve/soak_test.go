@@ -25,7 +25,7 @@ import (
 //   - every accepted request answers the exact score direct scoring
 //     produces — overload degrades availability, never correctness;
 //   - tail latency of accepted requests stays within 5x the unloaded
-//     p99 from BENCH_4.json (6.4ms -> 32ms budget);
+//     serving p99 of 6.4ms (a 32ms budget);
 //   - no goroutines leak once the storm passes and the server closes.
 //
 // The run is time-capped (~2s of load, well under the 30s budget the
@@ -36,7 +36,8 @@ func TestOverloadSoak(t *testing.T) {
 		maxInFlight = 32
 		soakFor     = 2 * time.Second
 	)
-	// 5x the committed unloaded p99 (BENCH_4.json: 6.4ms). The race
+	// 5x the unloaded serving p99 (6.4ms, the upper bound of the
+	// latency histogram bucket it fell in). The race
 	// detector slows scoring by roughly 10x, so the budget scales with it.
 	p99Budget := 32_000.0
 	if raceEnabled {

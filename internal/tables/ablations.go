@@ -110,8 +110,10 @@ func prototypeLOO(vs []hv.Vector, y []int) metrics.Confusion {
 				labels = append(labels, y[j])
 			}
 		}
-		p := hamming.FitPrototype(train, labels, hv.TieToOne)
-		pred[i] = p.Predict(vs[i])
+		neg, pos := core.Prototypes(train, labels, hv.TieToOne)
+		if hv.Hamming(vs[i], pos) <= hv.Hamming(vs[i], neg) {
+			pred[i] = 1
+		}
 	}
 	return metrics.NewConfusion(y, pred)
 }

@@ -3,14 +3,11 @@ package tables
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
 	"hdfe/internal/core"
-	"hdfe/internal/hv"
 	"hdfe/internal/ml/nn"
-	"hdfe/internal/obs"
 )
 
 // RuntimeRow is one model's fit-time comparison between raw features and
@@ -41,61 +38,6 @@ type RuntimeResult struct {
 	// sequential network on each representation.
 	NNEpochFeatures time.Duration
 	NNEpochHyper    time.Duration
-	// Encode compares the legacy value-returning encode path against the
-	// destination-passing (Into) path on the same dataset.
-	Encode EncodePathStats
-	// Stages splits the serving path's per-record cost into hypervector
-	// encoding vs Hamming-distance scoring, measured through the
-	// core.StageObserver seam (the same split hdserve exports at
-	// /metrics), so BENCH trajectories can attribute a regression to a
-	// stage instead of just "scoring got slower".
-	Stages StageSplitStats
-}
-
-// StageSplitStats is the per-record encode/distance breakdown of
-// Deployment scoring.
-type StageSplitStats struct {
-	Records        int           `json:"records"`
-	EncodePerRec   time.Duration `json:"encode_ns_per_record"`
-	DistancePerRec time.Duration `json:"distance_ns_per_record"`
-}
-
-// EncodeShare returns encode time as a fraction of total scoring time.
-func (s StageSplitStats) EncodeShare() float64 {
-	total := s.EncodePerRec + s.DistancePerRec
-	if total <= 0 {
-		return 0
-	}
-	return float64(s.EncodePerRec) / float64(total)
-}
-
-// EncodePathStats reports per-record cost of batch encoding: the legacy
-// path allocates a fresh hypervector per record, the Into path reuses
-// caller-owned storage and per-worker scratch.
-type EncodePathStats struct {
-	Records         int
-	LegacyPerRec    time.Duration
-	IntoPerRec      time.Duration
-	LegacyAllocsRec float64
-	IntoAllocsRec   float64
-}
-
-// measureEncodePath times fn over passes and reports mean wall-clock and
-// heap allocations per call (ReadMemStats deltas; single-shot precision,
-// same spirit as the rest of this driver — the repo benchmarks give the
-// statistically robust numbers).
-func measureEncodePath(passes int, fn func()) (time.Duration, float64) {
-	fn() // warm pools and the scheduler before measuring
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for p := 0; p < passes; p++ {
-		fn()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return elapsed / time.Duration(passes),
-		float64(after.Mallocs-before.Mallocs) / float64(passes)
 }
 
 // Runtime measures wall-clock fit time of every zoo model on Pima R with
@@ -145,50 +87,6 @@ func Runtime(cfg Config) (*RuntimeResult, error) {
 		return nil, err
 	}
 
-	// Encode-path comparison: legacy per-record allocation vs recycled
-	// destination vectors with per-worker scratch.
-	ext := core.NewExtractor(hdOptions(cfg, 0))
-	if err := ext.FitDataset(d); err != nil {
-		return nil, err
-	}
-	const passes = 10
-	n := len(d.X)
-	legacyTime, legacyAllocs := measureEncodePath(passes, func() {
-		ext.Transform(d.X)
-	})
-	dst := make([]hv.Vector, n)
-	intoTime, intoAllocs := measureEncodePath(passes, func() {
-		ext.TransformInto(d.X, dst)
-	})
-	res.Encode = EncodePathStats{
-		Records:         n,
-		LegacyPerRec:    legacyTime / time.Duration(n),
-		IntoPerRec:      intoTime / time.Duration(n),
-		LegacyAllocsRec: legacyAllocs / float64(n),
-		IntoAllocsRec:   intoAllocs / float64(n),
-	}
-
-	// Serving-path stage split: score the dataset through the observed
-	// Deployment path and attribute per-record cost to encode vs distance.
-	dep, err := core.BuildDeployment(core.SpecsFor(d.Features), d.X, d.Y, hdOptions(cfg, 0))
-	if err != nil {
-		return nil, err
-	}
-	var acc obs.StageAccum
-	scores := make([]float64, n)
-	dep.ScoreBatchIntoObserved(d.X, scores, &acc) // warm pools before measuring
-	acc.Reset()
-	for p := 0; p < passes; p++ {
-		dep.ScoreBatchIntoObserved(d.X, scores, &acc)
-	}
-	encTotal, distTotal, records := acc.Totals()
-	if records > 0 {
-		res.Stages = StageSplitStats{
-			Records:        n,
-			EncodePerRec:   encTotal / time.Duration(records),
-			DistancePerRec: distTotal / time.Duration(records),
-		}
-	}
 	return res, nil
 }
 
@@ -205,14 +103,4 @@ func RenderRuntime(w io.Writer, res *RuntimeResult) {
 		res.NNEpochFeatures.Round(time.Millisecond), res.NNEpochHyper.Round(time.Millisecond),
 		float64(res.NNEpochHyper)/float64(res.NNEpochFeatures))
 	tw.Flush()
-
-	e := res.Encode
-	fmt.Fprintf(w, "\nEncode path — batch encoding of %d records (per record)\n", e.Records)
-	fmt.Fprintf(w, "  legacy (alloc per record): %v, %.1f allocs\n", e.LegacyPerRec, e.LegacyAllocsRec)
-	fmt.Fprintf(w, "  Into   (recycled buffers): %v, %.2f allocs\n", e.IntoPerRec, e.IntoAllocsRec)
-
-	st := res.Stages
-	fmt.Fprintf(w, "\nServing stage split — Deployment scoring of %d records (per record)\n", st.Records)
-	fmt.Fprintf(w, "  encode:   %v (%.0f%%)\n", st.EncodePerRec, 100*st.EncodeShare())
-	fmt.Fprintf(w, "  distance: %v (%.0f%%)\n", st.DistancePerRec, 100*(1-st.EncodeShare()))
 }

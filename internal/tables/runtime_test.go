@@ -36,42 +36,10 @@ func TestRuntimeQuick(t *testing.T) {
 	if boostRatio <= forestRatio {
 		t.Fatalf("LGBM slowdown %.1fx not above forest %.1fx", boostRatio, forestRatio)
 	}
-	if res.Encode.Records == 0 || res.Encode.IntoPerRec <= 0 || res.Encode.LegacyPerRec <= 0 {
-		t.Fatalf("encode-path stats missing: %+v", res.Encode)
-	}
-	// The Into path recycles destination vectors and per-worker scratch;
-	// the legacy path allocates at least one hypervector per record.
-	if res.Encode.IntoAllocsRec >= res.Encode.LegacyAllocsRec {
-		t.Fatalf("Into path allocs/record %.2f not below legacy %.2f",
-			res.Encode.IntoAllocsRec, res.Encode.LegacyAllocsRec)
-	}
-	// Serving stage split: both stages measured, shares sum to one.
-	if res.Stages.Records == 0 || res.Stages.EncodePerRec <= 0 || res.Stages.DistancePerRec <= 0 {
-		t.Fatalf("stage split missing: %+v", res.Stages)
-	}
-	if sh := res.Stages.EncodeShare(); sh <= 0 || sh >= 1 {
-		t.Fatalf("encode share %v outside (0,1)", sh)
-	}
 	var buf bytes.Buffer
 	RenderRuntime(&buf, res)
 	if !strings.Contains(buf.String(), "Slowdown") {
 		t.Fatal("render missing slowdown column")
-	}
-	if !strings.Contains(buf.String(), "Encode path") {
-		t.Fatal("render missing encode-path section")
-	}
-	if !strings.Contains(buf.String(), "Serving stage split") {
-		t.Fatal("render missing serving stage split section")
-	}
-}
-
-func TestStageSplitEncodeShare(t *testing.T) {
-	s := StageSplitStats{EncodePerRec: 300, DistancePerRec: 100}
-	if s.EncodeShare() != 0.75 {
-		t.Fatalf("share %v", s.EncodeShare())
-	}
-	if (StageSplitStats{}).EncodeShare() != 0 {
-		t.Fatal("zero split share")
 	}
 }
 
