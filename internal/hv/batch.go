@@ -1,26 +1,8 @@
 package hv
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"hdfe/internal/parallel"
-)
-
-// Distances computes Hamming(query, pool[i]) for all i in parallel and
-// writes them into dst (allocated if nil/short). Used for single-query
-// nearest-neighbour prediction on trained Hamming models.
-func Distances(query Vector, pool []Vector, dst []int) []int {
-	if cap(dst) < len(pool) {
-		dst = make([]int, len(pool))
-	}
-	dst = dst[:len(pool)]
-	parallel.ForChunked(len(pool), func(lo, hi int) {
-		distancesRange(query, pool, dst, lo, hi)
-	})
-	return dst
-}
-
-// DistancesSerial is the single-goroutine form of Distances: it fills dst
+// DistancesSerial computes Hamming(query, pool[i]) for all i into dst
 // (allocated if nil/short) on the calling goroutine only. Use it with a
 // per-worker dst inside loops that are already parallel — leave-one-out
 // and batch prediction recycle one dst slice per worker this way instead
@@ -30,41 +12,15 @@ func DistancesSerial(query Vector, pool []Vector, dst []int) []int {
 		dst = make([]int, len(pool))
 	}
 	dst = dst[:len(pool)]
-	distancesRange(query, pool, dst, 0, len(pool))
-	return dst
-}
-
-func distancesRange(query Vector, pool []Vector, dst []int, lo, hi int) {
 	qw := query.words
-	for i := lo; i < hi; i++ {
-		checkSameDim(query, pool[i])
-		pw := pool[i].words
+	for i, p := range pool {
+		checkSameDim(query, p)
+		pw := p.words
 		d := 0
 		for k, x := range qw {
 			d += bits.OnesCount64(x ^ pw[k])
 		}
 		dst[i] = d
 	}
-}
-
-// Nearest returns the index of the pool vector closest to query under
-// Hamming distance, skipping index exclude (pass -1 to consider all), and
-// the distance itself. Ties resolve to the lowest index, which makes
-// leave-one-out runs deterministic. It panics if the pool is empty or the
-// only candidate is excluded.
-func Nearest(query Vector, pool []Vector, exclude int) (idx, dist int) {
-	ds := Distances(query, pool, nil)
-	idx = -1
-	for i, d := range ds {
-		if i == exclude {
-			continue
-		}
-		if idx == -1 || d < dist {
-			idx, dist = i, d
-		}
-	}
-	if idx == -1 {
-		panic("hv: Nearest with no candidates")
-	}
-	return idx, dist
+	return dst
 }

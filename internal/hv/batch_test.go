@@ -16,71 +16,6 @@ func makePool(t testing.TB, n, d int, seed uint64) []Vector {
 	return vs
 }
 
-func TestDistances(t *testing.T) {
-	vs := makePool(t, 31, 129, 4)
-	q := vs[5]
-	ds := Distances(q, vs, nil)
-	for i := range vs {
-		if ds[i] != Hamming(q, vs[i]) {
-			t.Fatalf("Distances[%d] = %d, want %d", i, ds[i], Hamming(q, vs[i]))
-		}
-	}
-	// Buffer reuse path.
-	buf := make([]int, 31)
-	ds2 := Distances(q, vs, buf)
-	if &ds2[0] != &buf[0] {
-		t.Fatal("Distances did not reuse provided buffer")
-	}
-}
-
-func TestNearestFindsSelfWithoutExclude(t *testing.T) {
-	vs := makePool(t, 12, 300, 5)
-	idx, dist := Nearest(vs[7], vs, -1)
-	if idx != 7 || dist != 0 {
-		t.Fatalf("Nearest = (%d,%d), want (7,0)", idx, dist)
-	}
-}
-
-func TestNearestExcludesSelf(t *testing.T) {
-	vs := makePool(t, 12, 300, 6)
-	idx, dist := Nearest(vs[7], vs, 7)
-	if idx == 7 {
-		t.Fatal("excluded index returned")
-	}
-	if dist != Hamming(vs[7], vs[idx]) {
-		t.Fatal("returned distance mismatch")
-	}
-	// It must actually be the minimum over the rest.
-	for i, v := range vs {
-		if i == 7 {
-			continue
-		}
-		if d := Hamming(vs[7], v); d < dist {
-			t.Fatalf("found closer candidate %d at %d < %d", i, d, dist)
-		}
-	}
-}
-
-func TestNearestTieBreaksToLowestIndex(t *testing.T) {
-	a := FromBits([]uint8{0, 0, 0, 0})
-	b := FromBits([]uint8{1, 0, 0, 0})
-	c := FromBits([]uint8{0, 1, 0, 0})
-	idx, dist := Nearest(a, []Vector{b, c}, -1)
-	if idx != 0 || dist != 1 {
-		t.Fatalf("tie broke to (%d,%d), want (0,1)", idx, dist)
-	}
-}
-
-func TestNearestPanicsWithNoCandidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	v := New(8)
-	Nearest(v, []Vector{v}, 0)
-}
-
 func BenchmarkHammingD10k(b *testing.B) {
 	r := rng.New(1)
 	x, y := Rand(r, 10000), Rand(r, 10000)
@@ -92,10 +27,19 @@ func BenchmarkHammingD10k(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkBundle8Features is the record-encode bundling kernel on its
+// own: eight D=10k codewords into one reused accumulator and destination,
+// as EncodeRecordInto does per record.
 func BenchmarkBundle8Features(b *testing.B) {
 	vs := makePool(b, 8, 10000, 3)
+	acc := NewAccumulator(10000)
+	dst := New(10000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Bundle(vs, TieToOne)
+		acc.Reset()
+		for _, v := range vs {
+			acc.Add(v)
+		}
+		acc.MajorityInto(TieToOne, dst)
 	}
 }

@@ -33,11 +33,20 @@ func Bundle(vs []Vector, tie TieBreak) Vector {
 	return acc.Majority(tie)
 }
 
-// Accumulator accumulates per-bit set counts across added vectors so that a
-// majority (or thresholded) bundle can be extracted without re-walking the
-// inputs. It is the right shape for streaming and for weighted bundling.
+// Accumulator counts, at every bit position, how many added vectors set
+// that bit, so the majority bundle can be read out without re-walking the
+// inputs.
+//
+// The counts are bit-sliced: plane p holds bit p of every position's count,
+// packed 64 positions to a word exactly like a Vector. Adding a vector is a
+// ripple-carry increment over whole words that stops as soon as the carry
+// is zero, and the majority is a plane-wise count >= k compare. Both cost O(D/64) word operations per
+// call instead of one scattered counter update or test per bit, and give
+// the same bits as a per-position integer counter.
 type Accumulator struct {
-	counts []int32
+	planes []uint64 // plane p is planes[p*nw : (p+1)*nw]
+	np     int      // planes in use: bits.Len(total)
+	nw     int      // words per plane
 	total  int
 	dim    int
 }
@@ -47,65 +56,46 @@ func NewAccumulator(d int) *Accumulator {
 	if d <= 0 {
 		panic(fmt.Sprintf("hv: invalid accumulator dimensionality %d", d))
 	}
-	return &Accumulator{counts: make([]int32, d), dim: d}
+	return &Accumulator{nw: (d + wordBits - 1) / wordBits, dim: d}
 }
 
 // Dim returns the accumulator's dimensionality.
 func (a *Accumulator) Dim() int { return a.dim }
 
-// Count returns the number of vectors added so far (including weights).
+// Count returns the number of vectors added so far.
 func (a *Accumulator) Count() int { return a.total }
 
-// Add accumulates v with weight 1.
-func (a *Accumulator) Add(v Vector) { a.AddWeighted(v, 1) }
-
-// AddWeighted accumulates v with an integer weight >= 1; a weight-w add is
-// equivalent to adding v w times. It panics on dimension mismatch or
-// non-positive weight.
-func (a *Accumulator) AddWeighted(v Vector, w int) {
+// Add accumulates v. It panics on dimension mismatch.
+func (a *Accumulator) Add(v Vector) {
 	if v.dim != a.dim {
 		panic(fmt.Sprintf("hv: accumulator dim %d, vector dim %d", a.dim, v.dim))
 	}
-	if w <= 0 {
-		panic(fmt.Sprintf("hv: non-positive bundle weight %d", w))
+	a.total++
+	if n := bits.Len(uint(a.total)); n > a.np {
+		// A new top plane: no count can carry past it, since every count
+		// is at most total < 1<<n. Reset keeps the capacity, so a reused
+		// accumulator stops allocating once it has seen its largest bundle.
+		// The new plane may hold a previous bundle's bits; clear it.
+		end := n * a.nw
+		if end > cap(a.planes) {
+			a.planes = append(a.planes[:cap(a.planes)], make([]uint64, end-cap(a.planes))...)
+		}
+		a.planes = a.planes[:end]
+		clear(a.planes[a.np*a.nw:])
+		a.np = n
 	}
-	for wi, word := range v.words {
-		base := wi * wordBits
-		for word != 0 {
-			a.counts[base+bits.TrailingZeros64(word)] += int32(w)
-			word &= word - 1
+	nw, planes := a.nw, a.planes
+	for w, carry := range v.words {
+		for i := w; carry != 0; i += nw {
+			s := planes[i]
+			planes[i] = s ^ carry
+			carry &= s
 		}
 	}
-	a.total += w
-}
-
-// Remove subtracts a previously added vector (weight 1). The accumulator
-// cannot verify that v was actually added; it panics only if the total
-// count would go negative. Decomposability of majority bundling under
-// removal is what makes prototype models cheaply updatable online.
-func (a *Accumulator) Remove(v Vector) {
-	if v.dim != a.dim {
-		panic(fmt.Sprintf("hv: accumulator dim %d, vector dim %d", a.dim, v.dim))
-	}
-	if a.total == 0 {
-		panic("hv: Remove from empty accumulator")
-	}
-	for wi, word := range v.words {
-		base := wi * wordBits
-		for word != 0 {
-			idx := base + bits.TrailingZeros64(word)
-			if a.counts[idx] == 0 {
-				panic(fmt.Sprintf("hv: Remove of never-added bit %d", idx))
-			}
-			a.counts[idx]--
-			word &= word - 1
-		}
-	}
-	a.total--
 }
 
 // Majority returns the bundle: bit i is 1 iff more than half of the added
-// weight had bit i set, with exact halves resolved by tie. It panics if
+// vectors had bit i set, with exact halves resolved by tie. It panics if
 // nothing has been added.
 func (a *Accumulator) Majority(tie TieBreak) Vector {
 	out := New(a.dim)
@@ -124,45 +114,45 @@ func (a *Accumulator) MajorityInto(tie TieBreak, dst Vector) {
 	if dst.dim != a.dim {
 		panic(fmt.Sprintf("hv: accumulator dim %d, dst dim %d", a.dim, dst.dim))
 	}
-	dst.Clear()
-	half2 := a.total // compare 2*count against total to stay in integers
-	for i, c := range a.counts {
-		twice := int(c) * 2
-		switch {
-		case twice > half2:
-			dst.setBit(i)
-		case twice == half2 && tie == TieToOne:
-			dst.setBit(i)
+	// 2*count > total  <=>  count >= total/2+1; a tie (2*count == total,
+	// total even) is count == total/2.
+	k := a.total/2 + 1
+	if a.total%2 == 0 && tie == TieToOne {
+		k = a.total / 2
+	}
+	a.thresholdInto(k, dst)
+}
+
+// thresholdInto sets dst bit i iff the count at position i is at least k,
+// for 1 <= k <= total. With np planes every count is below 1<<np, so
+// count >= k exactly when count + (1<<np - k) carries out of the top
+// plane. Adding that constant plane by plane, least significant first,
+// needs only the running carry: a plane where the constant has a 1
+// carries if the count bit or the carry is set, a plane where it has a 0
+// only if both are. Positions past dim count zero and never carry.
+func (a *Accumulator) thresholdInto(k int, dst Vector) {
+	m := 1<<a.np - k
+	out := dst.words
+	clear(out)
+	for p := 0; p < a.np; p++ {
+		plane := a.planes[p*a.nw : (p+1)*a.nw]
+		plane = plane[:len(out)]
+		if m>>p&1 == 1 {
+			for w, c := range plane {
+				out[w] |= c
+			}
+		} else {
+			for w, c := range plane {
+				out[w] &= c
+			}
 		}
 	}
 }
 
-// Threshold returns a vector whose bit i is 1 iff at least k of the added
-// weight had bit i set. Majority with an odd total is Threshold(total/2+1).
-func (a *Accumulator) Threshold(k int) Vector {
-	out := New(a.dim)
-	a.ThresholdInto(k, out)
-	return out
-}
-
-// ThresholdInto writes the k-threshold bundle into dst without allocating;
-// dst is fully overwritten. It panics on dimension mismatch.
-func (a *Accumulator) ThresholdInto(k int, dst Vector) {
-	if dst.dim != a.dim {
-		panic(fmt.Sprintf("hv: accumulator dim %d, dst dim %d", a.dim, dst.dim))
-	}
-	dst.Clear()
-	for i, c := range a.counts {
-		if int(c) >= k {
-			dst.setBit(i)
-		}
-	}
-}
-
-// Reset clears the accumulator for reuse without reallocating.
+// Reset empties the accumulator for reuse without releasing its planes;
+// Add clears each plane as it comes back into use.
 func (a *Accumulator) Reset() {
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
+	a.planes = a.planes[:0]
+	a.np = 0
 	a.total = 0
 }

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"math/bits"
 	"testing"
 
 	"hdfe/internal/rng"
@@ -95,37 +96,25 @@ func TestAccumulatorMatchesBundle(t *testing.T) {
 	}
 }
 
+// Adding a vector several times outweighs a single dissenter: counts above
+// one must carry correctly between planes.
 func TestAccumulatorWeighted(t *testing.T) {
 	a := FromBits([]uint8{1, 0})
 	b := FromBits([]uint8{0, 1})
 	acc := NewAccumulator(2)
-	acc.AddWeighted(a, 3)
+	for i := 0; i < 3; i++ {
+		acc.Add(a)
+	}
 	acc.Add(b)
 	got := acc.Majority(TieToOne)
-	// a dominates with weight 3 vs 1.
+	// a dominates 3 to 1.
 	if !got.Equal(a) {
 		t.Fatalf("weighted majority = %v, want %v", got, a)
 	}
 }
 
-func TestAccumulatorWeightedEquivalentToRepeatedAdd(t *testing.T) {
-	r := rng.New(4)
-	v1, v2 := Rand(r, 100), Rand(r, 100)
-	w := NewAccumulator(100)
-	w.AddWeighted(v1, 3)
-	w.AddWeighted(v2, 2)
-	rep := NewAccumulator(100)
-	for i := 0; i < 3; i++ {
-		rep.Add(v1)
-	}
-	for i := 0; i < 2; i++ {
-		rep.Add(v2)
-	}
-	if !w.Majority(TieToOne).Equal(rep.Majority(TieToOne)) {
-		t.Fatal("weighted add != repeated add")
-	}
-}
-
+// thresholdInto is the compare MajorityInto is built on: bit i is set iff
+// at least k of the added vectors set it.
 func TestAccumulatorThreshold(t *testing.T) {
 	a := FromBits([]uint8{1, 1, 0})
 	b := FromBits([]uint8{1, 0, 0})
@@ -134,11 +123,12 @@ func TestAccumulatorThreshold(t *testing.T) {
 	for _, v := range []Vector{a, b, c} {
 		acc.Add(v)
 	}
-	if got := acc.Threshold(3); !got.Equal(FromBits([]uint8{1, 0, 0})) {
-		t.Fatalf("Threshold(3) = %v", got)
+	got := New(3)
+	if acc.thresholdInto(3, got); !got.Equal(FromBits([]uint8{1, 0, 0})) {
+		t.Fatalf("threshold 3 = %v", got)
 	}
-	if got := acc.Threshold(1); !got.Equal(FromBits([]uint8{1, 1, 1})) {
-		t.Fatalf("Threshold(1) = %v", got)
+	if acc.thresholdInto(1, got); !got.Equal(FromBits([]uint8{1, 1, 1})) {
+		t.Fatalf("threshold 1 = %v", got)
 	}
 }
 
@@ -160,7 +150,6 @@ func TestAccumulatorPanics(t *testing.T) {
 		func() { NewAccumulator(0) },
 		func() { NewAccumulator(4).Majority(TieToOne) },
 		func() { NewAccumulator(4).Add(New(5)) },
-		func() { NewAccumulator(4).AddWeighted(New(4), 0) },
 	}
 	for i, f := range cases {
 		func() {
@@ -174,49 +163,48 @@ func TestAccumulatorPanics(t *testing.T) {
 	}
 }
 
-func TestAccumulatorRemove(t *testing.T) {
-	r := rng.New(6)
-	a, b, c := Rand(r, 200), Rand(r, 200), Rand(r, 200)
-	acc := NewAccumulator(200)
-	acc.Add(a)
-	acc.Add(b)
-	acc.Add(c)
-	acc.Remove(b)
-	want := NewAccumulator(200)
-	want.Add(a)
-	want.Add(c)
-	if !acc.Majority(TieToOne).Equal(want.Majority(TieToOne)) {
-		t.Fatal("Remove did not undo Add")
-	}
-	if acc.Count() != 2 {
-		t.Fatalf("Count after remove = %d", acc.Count())
-	}
+// refAccumulator is the plain per-position counter the bit-sliced
+// Accumulator replaces: one int32 per bit, one increment per set bit, one
+// compare per bit. FuzzAccumulator and the threshold tests check the
+// Accumulator against it bit for bit.
+type refAccumulator struct {
+	counts []int32
+	total  int
 }
 
-func TestAccumulatorRemovePanics(t *testing.T) {
-	cases := []func(){
-		func() { NewAccumulator(8).Remove(New(8)) }, // empty
-		func() { // never-added bits
-			acc := NewAccumulator(8)
-			acc.Add(New(8))
-			v := New(8)
-			v.SetBit(0, true)
-			acc.Remove(v)
-		},
-		func() { // dim mismatch
-			acc := NewAccumulator(8)
-			acc.Add(New(8))
-			acc.Remove(New(9))
-		},
+func newRefAccumulator(d int) *refAccumulator {
+	return &refAccumulator{counts: make([]int32, d)}
+}
+
+func (a *refAccumulator) add(v Vector) {
+	for wi, word := range v.words {
+		base := wi * wordBits
+		for word != 0 {
+			a.counts[base+bits.TrailingZeros64(word)]++
+			word &= word - 1
+		}
 	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
+	a.total++
+}
+
+// threshold sets bit i iff at least k added vectors set it.
+func (a *refAccumulator) threshold(k int) Vector {
+	out := New(len(a.counts))
+	for i, c := range a.counts {
+		if int(c) >= k {
+			out.setBit(i)
+		}
 	}
+	return out
+}
+
+func (a *refAccumulator) majority(tie TieBreak) Vector {
+	out := New(len(a.counts))
+	for i, c := range a.counts {
+		twice := 2 * int(c)
+		if twice > a.total || twice == a.total && tie == TieToOne {
+			out.setBit(i)
+		}
+	}
+	return out
 }

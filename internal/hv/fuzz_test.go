@@ -2,6 +2,8 @@ package hv
 
 import (
 	"testing"
+
+	"hdfe/internal/rng"
 )
 
 // FuzzMajorityInto bundles arbitrary bit patterns at arbitrary (small)
@@ -69,6 +71,56 @@ func FuzzMajorityInto(f *testing.F) {
 		// Tail invariant: no bits set beyond dim in the backing words.
 		if got := into.OnesCount(); got != len(into.Ones()) {
 			t.Fatalf("popcount %d disagrees with Ones() length %d: tail bits leaked", got, len(into.Ones()))
+		}
+	})
+}
+
+// FuzzAccumulator pins the bit-sliced Accumulator against the per-position
+// counter reference for 1 to 600 inputs (the sizes core.Prototypes sees),
+// both tie rules, and dimensionalities straddling word boundaries. repeat
+// sets how often an input repeats the previous one, which drives counts up
+// through the planes' carries. The same accumulator is then Reset and
+// refilled with fewer inputs, so stale high planes must not leak.
+func FuzzAccumulator(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint16(0), false, uint8(0))
+	f.Add(uint64(2), uint16(7), uint16(63), true, uint8(128))
+	f.Add(uint64(3), uint16(599), uint16(64), false, uint8(250))
+	f.Add(uint64(4), uint16(255), uint16(129), true, uint8(64))
+	f.Add(uint64(5), uint16(512), uint16(191), false, uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, nSeed, dimSeed uint16, tieToZero bool, repeat uint8) {
+		n := 1 + int(nSeed)%600
+		dim := 1 + int(dimSeed)%260 // 1..260: crosses four word boundaries
+		tie := TieToOne
+		if tieToZero {
+			tie = TieToZero
+		}
+		r := rng.New(seed)
+		acc := NewAccumulator(dim)
+		for _, size := range []int{n, 1 + n/3} {
+			acc.Reset()
+			ref := newRefAccumulator(dim)
+			v := Rand(r, dim)
+			for i := 0; i < size; i++ {
+				if r.Intn(256) >= int(repeat) {
+					v = Rand(r, dim)
+				}
+				acc.Add(v)
+				ref.add(v)
+			}
+			if acc.Count() != size {
+				t.Fatalf("Count = %d after %d adds", acc.Count(), size)
+			}
+			got := New(dim)
+			acc.MajorityInto(tie, got)
+			if want := ref.majority(tie); !got.Equal(want) {
+				t.Fatalf("n=%d dim=%d tie=%v: bit-sliced majority differs from the counter", size, dim, tie)
+			}
+			for _, k := range []int{1, (size + 1) / 2, size} {
+				acc.thresholdInto(k, got)
+				if !got.Equal(ref.threshold(k)) {
+					t.Fatalf("n=%d dim=%d: threshold %d differs from the counter", size, dim, k)
+				}
+			}
 		}
 	})
 }

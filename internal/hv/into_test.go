@@ -103,15 +103,17 @@ func TestThresholdIntoMatchesThreshold(t *testing.T) {
 	r := rng.New(7)
 	const d = 320
 	acc := NewAccumulator(d)
+	ref := newRefAccumulator(d)
 	for i := 0; i < 7; i++ {
-		acc.Add(Rand(r, d))
+		v := Rand(r, d)
+		acc.Add(v)
+		ref.add(v)
 	}
-	for k := 0; k <= 8; k++ {
-		want := acc.Threshold(k)
-		dst := Rand(r, d)
-		acc.ThresholdInto(k, dst)
-		if !dst.Equal(want) {
-			t.Fatalf("k=%d: ThresholdInto != Threshold", k)
+	for k := 1; k <= 7; k++ {
+		dst := Rand(r, d) // pre-dirtied: thresholdInto must fully overwrite
+		acc.thresholdInto(k, dst)
+		if !dst.Equal(ref.threshold(k)) {
+			t.Fatalf("k=%d: thresholdInto != counter threshold", k)
 		}
 	}
 }
@@ -124,7 +126,10 @@ func TestDistancesSerialMatchesDistances(t *testing.T) {
 		pool[i] = Rand(r, d)
 	}
 	q := Rand(r, d)
-	want := Distances(q, pool, nil)
+	want := make([]int, len(pool))
+	for i, p := range pool {
+		want[i] = Hamming(q, p)
+	}
 	dst := make([]int, 4) // too short: must grow
 	got := DistancesSerial(q, pool, dst)
 	if len(got) != len(want) {

@@ -1,14 +1,8 @@
 // Package hv implements binary hypervectors for hyperdimensional computing
 // (HDC): fixed-dimensionality bit vectors (the paper uses D = 10,000) packed
 // into uint64 words, with the operations the paper's encoder and classifier
-// need — random generation, balanced bit flipping, Hamming distance, majority
-// bundling — plus parallel batch kernels for distance matrices and
-// nearest-neighbour search.
-//
-// The package also provides bipolar (±1) vectors (see ternary.go), which the
-// paper mentions as an alternative representation; a property test verifies
-// that majority bundling of binary vectors equals sign bundling of their
-// bipolar images.
+// need — random generation, balanced bit flipping, Hamming distance and
+// majority bundling — each working a whole word at a time.
 package hv
 
 import (

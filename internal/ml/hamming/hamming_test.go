@@ -140,8 +140,13 @@ func TestLeaveOneOutMatchesNaive(t *testing.T) {
 	// Naive re-implementation.
 	pred := make([]int, len(vs))
 	for i, v := range vs {
-		idx, _ := hv.Nearest(v, vs, i)
-		pred[i] = y[idx]
+		best, bestDist := -1, 0
+		for j, u := range vs {
+			if d := hv.Hamming(v, u); j != i && (best == -1 || d < bestDist) {
+				best, bestDist = j, d
+			}
+		}
+		pred[i] = y[best]
 	}
 	var naiveCorrect, fastCorrect int
 	for i := range pred {

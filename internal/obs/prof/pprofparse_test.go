@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"runtime"
 	rpprof "runtime/pprof"
 	"testing"
 )
@@ -260,9 +261,21 @@ func TestDelta(t *testing.T) {
 	}
 }
 
+// liveHeap holds TestParseLiveProfiles's live allocation.
+var liveHeap []byte
+
 // TestParseLiveProfiles parses real runtime/pprof output — the wire format
 // the parser exists for — rather than only the synthetic encoder above.
 func TestParseLiveProfiles(t *testing.T) {
+	// The heap profile holds only sampled allocations still live at the
+	// last GC; at the default 512 KiB sampling rate a test that allocates
+	// little may have none. Sample every allocation, keep one live across
+	// a GC, and the profile is guaranteed a function to fold.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	liveHeap = make([]byte, 64<<10) // a package variable, so it is on the heap
+	defer func() { liveHeap = nil }()
+	runtime.GC()
 	var buf bytes.Buffer
 	if err := rpprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
 		t.Fatalf("heap profile: %v", err)
