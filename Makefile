@@ -1,8 +1,9 @@
 # Tier-1 entry points for hdfe. `make test` is the gate every change must
 # pass; `make test-race` runs the whole module (serving suite included)
 # under the race detector; `make fuzz-smoke` gives each fuzz target a short
-# budget; `make bench` times the bundling and level-encode kernels and
-# tracks the zero-allocation encode/score path;
+# budget; `make bench` times the bundling, level-encode and Hamming
+# kernels and paper-scale leave-one-out, and tracks the zero-allocation
+# encode/score path;
 # `make obs-smoke` boots hdserve and asserts the /metrics surface;
 # `make trace-smoke` adds a mock OTLP collector and asserts the W3C
 # traceparent round trip, span export, exemplars, and /debug/slo;
@@ -38,13 +39,15 @@ fuzz-smoke:
 	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzLevelEncoderCheckpoints$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzMajorityInto$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzAccumulator$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ml/hamming -run '^$$' -fuzz '^FuzzLeaveOneOut$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzCSVParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/drift -run '^$$' -fuzz '^FuzzFeedbackJoin$$' -fuzztime $(FUZZTIME)
 
 bench:
-	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features' -benchmem
+	$(GO) test ./internal/hv -run '^$$' -bench 'Bundle8Features|HammingD10k' -benchmem
 	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
+	$(GO) test ./internal/ml/hamming -run '^$$' -bench 'LeaveOneOut' -benchmem
 
 obs-smoke:
 	sh scripts/obs_smoke.sh

@@ -53,16 +53,16 @@ func TestTransformRecordIntoMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestTransformIntoMatchesTransform checks the batch path (fresh and
-// recycled dst) against the legacy batch result.
-func TestTransformIntoMatchesTransform(t *testing.T) {
+// TestEncodeAllIntoMatchesTransform checks the codebook's batch encode
+// into a fresh and a recycled dst against the Extractor's Transform.
+func TestEncodeAllIntoMatchesTransform(t *testing.T) {
 	d := synth.PimaR(42)
 	ext := NewExtractor(Options{Dim: 1500, Seed: 3})
 	if err := ext.FitDataset(d); err != nil {
 		t.Fatal(err)
 	}
 	want := ext.Transform(d.X)
-	dst := ext.TransformInto(d.X, nil)
+	dst := ext.cb.EncodeAllInto(d.X, nil)
 	for i := range want {
 		if !dst[i].Equal(want[i]) {
 			t.Fatalf("row %d: batch Into differs", i)
@@ -70,9 +70,9 @@ func TestTransformIntoMatchesTransform(t *testing.T) {
 	}
 	// Recycled call: same backing storage, same bits.
 	w0 := dst[0].Words()
-	dst = ext.TransformInto(d.X, dst)
+	dst = ext.cb.EncodeAllInto(d.X, dst)
 	if &dst[0].Words()[0] != &w0[0] {
-		t.Fatal("TransformInto reallocated a reusable destination vector")
+		t.Fatal("EncodeAllInto reallocated a reusable destination vector")
 	}
 	for i := range want {
 		if !dst[i].Equal(want[i]) {
@@ -157,19 +157,20 @@ func BenchmarkTransformRecordLegacy(b *testing.B) {
 	}
 }
 
-// BenchmarkTransformRecordBatchInto encodes the whole cohort into a
-// recycled destination slice (per-worker scratch, reused vectors).
+// BenchmarkTransformRecordBatchInto encodes the whole cohort with the
+// codebook's EncodeAllInto into a recycled destination slice (per-worker
+// scratch, reused vectors).
 func BenchmarkTransformRecordBatchInto(b *testing.B) {
 	d := synth.PimaR(42)
 	ext := NewExtractor(Options{Dim: 10000, Seed: 1})
 	if err := ext.FitDataset(d); err != nil {
 		b.Fatal(err)
 	}
-	dst := ext.TransformInto(d.X, nil) // pre-size so the loop is steady state
+	dst := ext.cb.EncodeAllInto(d.X, nil) // pre-size so the loop is steady state
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = ext.TransformInto(d.X, dst)
+		dst = ext.cb.EncodeAllInto(d.X, dst)
 	}
 }
 

@@ -43,3 +43,53 @@ func BenchmarkBundle8Features(b *testing.B) {
 		acc.MajorityInto(TieToOne, dst)
 	}
 }
+
+// TestDistancesSerialPoolLengths pins the 4-wide kernel and its scalar
+// tail against a plain Hamming loop for every pool length from 0 to 9
+// (zero, one and two full groups, each with every tail length), at
+// dimensionalities straddling word boundaries. A dirty dst must be fully
+// overwritten.
+func TestDistancesSerialPoolLengths(t *testing.T) {
+	for _, d := range []int{1, 63, 64, 65, 200, 10000} {
+		q := Rand(rng.New(uint64(d)), d)
+		for n := 0; n <= 9; n++ {
+			pool := makePool(t, n, d, uint64(100*d+n))
+			dst := make([]int, n)
+			for i := range dst {
+				dst[i] = -1
+			}
+			got := DistancesSerial(q, pool, dst)
+			if len(got) != n {
+				t.Fatalf("D=%d n=%d: %d distances", d, n, len(got))
+			}
+			for i, p := range pool {
+				if want := Hamming(q, p); got[i] != want {
+					t.Fatalf("D=%d n=%d: dist[%d] = %d, want %d", d, n, i, got[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestDistancesSerialPanicsOnDimMismatch puts one vector of the wrong
+// dimensionality at every position of pools of 1 to 9 vectors, so the
+// mismatch lands in every slot of a 4-group and of the tail; each must
+// panic.
+func TestDistancesSerialPanicsOnDimMismatch(t *testing.T) {
+	const d = 128
+	q := Rand(rng.New(1), d)
+	for n := 1; n <= 9; n++ {
+		for bad := 0; bad < n; bad++ {
+			pool := makePool(t, n, d, uint64(n))
+			pool[bad] = New(d + 1)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("n=%d: mismatch at %d did not panic", n, bad)
+					}
+				}()
+				DistancesSerial(q, pool, nil)
+			}()
+		}
+	}
+}

@@ -1,12 +1,14 @@
 // Package hamming implements the paper's pure-HDC classifier (§II.C): a
 // record hypervector is labeled with the class of its nearest neighbour
 // under Hamming distance, and the model is validated with leave-one-out
-// cross-validation computed from the full pairwise distance matrix.
+// cross-validation that measures each pair of records once.
 package hamming
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"hdfe/internal/hv"
 	"hdfe/internal/metrics"
@@ -187,11 +189,10 @@ func (m *Model) score(v hv.Vector, ds []int) (float64, []int) {
 }
 
 // LeaveOneOut runs the paper's validation (§II.C): each record is labelled
-// by its nearest neighbour among all the others, and the predictions are
-// tallied into a confusion matrix. Rows fan out across workers, each
-// recycling one distance buffer for all of its rows — the n×n distance
-// matrix the seed implementation materialized is never allocated, so LOO's
-// working memory is O(workers·n) instead of O(n²).
+// by its nearest neighbour among all the others (ties to the lowest index),
+// and the predictions are tallied into a confusion matrix. The neighbours
+// come from nearestOthers, which computes each unordered pair's distance
+// once; no n×n distance matrix is ever allocated.
 func LeaveOneOut(vs []hv.Vector, y []int) metrics.Confusion {
 	if len(vs) != len(y) {
 		panic(fmt.Sprintf("hamming: %d vectors but %d labels", len(vs), len(y)))
@@ -200,23 +201,86 @@ func LeaveOneOut(vs []hv.Vector, y []int) metrics.Confusion {
 		panic("hamming: leave-one-out needs at least two records")
 	}
 	pred := make([]int, len(vs))
-	parallel.ForChunked(len(vs), func(lo, hi int) {
-		ds := make([]int, len(vs)) // per-worker, reused across rows
-		for i := lo; i < hi; i++ {
-			hv.DistancesSerial(vs[i], vs, ds)
-			best, bestDist := -1, 0
-			for j, d := range ds {
-				if j == i {
+	for i, j := range nearestOthers(vs) {
+		pred[i] = y[j]
+	}
+	return metrics.NewConfusion(y, pred)
+}
+
+// tile is the side, in records, of the square blocks nearestOthers splits
+// the upper triangle of the distance matrix into. 32 D=10k vectors are
+// about 40 KB, so a row tile and a column tile stay cache-resident while
+// every pair between them is measured.
+const tile = 32
+
+// nearestOthers returns, for every i, the index of the vector nearest to
+// vs[i] among all the others, ties to the lowest index. It visits each
+// unordered pair {i, j} once: the tiles (a, b) with a <= b of the upper
+// triangle fan out across workers, and each distance updates the running
+// best of both row i and row j. Every worker keeps its own best arrays and
+// merges them by lexicographic (dist, idx) minimum, which does not depend
+// on the order of the merges, so the result is the same whatever the
+// scheduling.
+func nearestOthers(vs []hv.Vector) []int {
+	n := len(vs)
+	nt := (n + tile - 1) / tile
+	type block struct{ a, b int }
+	blocks := make([]block, 0, nt*(nt+1)/2)
+	for a := 0; a < nt; a++ {
+		for b := a; b < nt; b++ {
+			blocks = append(blocks, block{a, b})
+		}
+	}
+	bestDist, bestIdx := unsetBests(n)
+	var mu sync.Mutex
+	parallel.ForChunked(len(blocks), func(lo, hi int) {
+		dist, idx := unsetBests(n)
+		ds := make([]int, tile)
+		for _, blk := range blocks[lo:hi] {
+			ilo, ihi := blk.a*tile, min((blk.a+1)*tile, n)
+			jlo, jhi := blk.b*tile, min((blk.b+1)*tile, n)
+			for i := ilo; i < ihi; i++ {
+				j0 := max(jlo, i+1)
+				if j0 >= jhi {
 					continue
 				}
-				if best == -1 || d < bestDist {
-					best, bestDist = j, d
+				ds = hv.DistancesSerial(vs[i], vs[j0:jhi], ds)
+				for k, d := range ds {
+					j := j0 + k
+					if closer(d, j, dist[i], idx[i]) {
+						dist[i], idx[i] = d, j
+					}
+					if closer(d, i, dist[j], idx[j]) {
+						dist[j], idx[j] = d, i
+					}
 				}
 			}
-			pred[i] = y[best]
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range idx {
+			if closer(dist[i], idx[i], bestDist[i], bestIdx[i]) {
+				bestDist[i], bestIdx[i] = dist[i], idx[i]
+			}
 		}
 	})
-	return metrics.NewConfusion(y, pred)
+	return bestIdx
+}
+
+// unsetBests returns n running bests, each (math.MaxInt, -1).
+func unsetBests(n int) (dist, idx []int) {
+	dist, idx = make([]int, n), make([]int, n)
+	for i := range idx {
+		dist[i], idx[i] = math.MaxInt, -1
+	}
+	return dist, idx
+}
+
+// closer reports whether candidate (d, j) precedes (bd, bj) in (distance,
+// index) order. Unset bests hold (math.MaxInt, -1), which every real
+// candidate precedes.
+func closer(d, j, bd, bj int) bool {
+	return d < bd || (d == bd && j < bj)
 }
 
 // FloatAdapter exposes the Hamming classifier through the generic
