@@ -2,8 +2,8 @@
 # pass; `make test-race` runs the whole module (serving suite included)
 # under the race detector; `make fuzz-smoke` gives each fuzz target a short
 # budget; `make bench` times the bundling, level-encode and Hamming
-# kernels and paper-scale leave-one-out, and tracks the zero-allocation
-# encode/score path;
+# kernels, paper-scale leave-one-out and a lone request through the
+# default microbatcher, and tracks the zero-allocation encode/score path;
 # `make obs-smoke` boots hdserve and asserts the /metrics surface;
 # `make trace-smoke` adds a mock OTLP collector and asserts the W3C
 # traceparent round trip, span export, exemplars, and /debug/slo;
@@ -48,6 +48,7 @@ bench:
 	$(GO) test ./internal/encode -run '^$$' -bench 'LevelEncodeInto' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
 	$(GO) test ./internal/ml/hamming -run '^$$' -bench 'LeaveOneOut' -benchmem
+	$(GO) test ./internal/serve -run '^$$' -bench 'BatcherLoneSubmit' -benchmem
 
 obs-smoke:
 	sh scripts/obs_smoke.sh

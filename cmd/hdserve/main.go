@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hdserve -model dep.bin [-shadow cand.bin] [-addr :8080] [-name pima]
-//	        [-max-batch 32] [-max-wait 2ms] [-timeout 5s] [-reject-missing]
+//	        [-max-batch 32] [-timeout 5s] [-reject-missing]
 //	        [-max-inflight 1024] [-queue-depth 0] [-retry-after 1s]
 //	        [-chaos-spec ""] [-chaos-seed 1]
 //	        [-reject-out-of-range] [-psi-warn 0.25] [-clamp-warn 0.01]
@@ -144,7 +144,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		name          = fs.String("name", "", "model name reported by /healthz (default: model file or \"demo\")")
 		addr          = fs.String("addr", ":8080", "listen address")
 		maxBatch      = fs.Int("max-batch", 32, "microbatch size cap")
-		maxWait       = fs.Duration("max-wait", 2*time.Millisecond, "microbatch wait before scoring a partial batch")
 		maxInFlight   = fs.Int("max-inflight", 1024, "admitted-record budget; excess load is shed with 429 (negative disables)")
 		queueDepth    = fs.Int("queue-depth", 0, "batcher queue capacity (0 = max(4*max-batch, max-inflight))")
 		retryAfter    = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 shed responses")
@@ -271,7 +270,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ModelPath:        *model,
 		ModelSHA256:      sha,
 		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
 		MaxInFlight:      *maxInFlight,
 		QueueDepth:       *queueDepth,
 		RetryAfter:       *retryAfter,

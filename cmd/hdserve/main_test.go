@@ -227,7 +227,7 @@ func TestRunModelLifecycle(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{"-model", modelA, "-shadow", modelB, "-name", "boot",
-			"-addr", "127.0.0.1:0", "-max-wait", "1ms"}, stdout, &errOut)
+			"-addr", "127.0.0.1:0"}, stdout, &errOut)
 	}()
 
 	var addr string

@@ -7,7 +7,7 @@
 // The scoring pipeline is modelled as five stages:
 //
 //	validate    parse + schema-validate the request body
-//	batch_wait  time a record sat in an open microbatch before scoring
+//	batch_wait  time a record waited in the batcher queue before scoring
 //	encode      hypervector encoding (TransformRecordInto)
 //	score       Hamming-distance scoring against the class prototypes
 //	respond     response serialization

@@ -40,9 +40,6 @@ func auditServer(t *testing.T, cfg Config, acfg audit.Config) (*Server, *httptes
 	cfg.Audit = log
 	cfg.ModelSHA256 = sha
 	cfg.ModelPath = artifact
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = time.Millisecond
-	}
 	s := New(dep, cfg)
 	ts := httptest.NewServer(s.Handler())
 	return s, ts, acfg.Dir, artifact
@@ -399,7 +396,7 @@ func TestAuditChaosRaceE2E(t *testing.T) {
 // server without -audit-dir must pay exactly one nil check per would-be
 // event — no event construction, no input copies, no digests.
 func TestAuditHelpersZeroAllocWhenDisabled(t *testing.T) {
-	s := New(testDeployment(t, 64), Config{MaxWait: time.Millisecond})
+	s := New(testDeployment(t, 64), Config{})
 	defer s.Close()
 	st := s.activeState()
 	row := synth.PimaM(7).X[0]

@@ -50,8 +50,10 @@ type request struct {
 
 // Batcher coalesces concurrent single-record scoring requests into
 // ScoreBatch calls against whatever model is active when each batch is
-// scored: the first queued request opens a batch, which closes when it
-// reaches maxBatch records or maxWait elapses, whichever comes first.
+// scored. It is work-conserving: the first queued request opens a batch
+// that takes whatever else is already queued, up to maxBatch, and is
+// scored at once, with no timer. Batches form under load because
+// requests pile up while the previous batch is scored (group commit).
 // One goroutine runs the batches sequentially on recycled row/score
 // buffers, acquiring the active model exactly once per batch — so every
 // record in a batch is scored by the same model version even while a
@@ -61,7 +63,6 @@ type Batcher struct {
 	reg      *registry.Registry
 	shadow   *shadowScorer // nil disables shadow comparison
 	maxBatch int
-	maxWait  time.Duration
 	metrics  *Metrics
 	chaos    *chaos.Injector // nil in production: one branch per batch
 	acc      obs.StageAccum  // reused per batch; loop-goroutine owned between resets
@@ -73,16 +74,11 @@ type Batcher struct {
 }
 
 // newBatcher starts a batcher over the registry's active slot, which
-// must already be populated. maxBatch <= 0 defaults to 32; maxWait < 0
-// defaults to 2ms (0 is honoured: score whatever is immediately
-// queued); queueDepth <= 0 defaults to 4*maxBatch. metrics, shadow, and
-// inj may be nil.
-func newBatcher(reg *registry.Registry, maxBatch int, maxWait time.Duration, queueDepth int, metrics *Metrics, shadow *shadowScorer, inj *chaos.Injector) *Batcher {
+// must already be populated. maxBatch <= 0 defaults to 32; queueDepth
+// <= 0 defaults to 4*maxBatch. metrics, shadow, and inj may be nil.
+func newBatcher(reg *registry.Registry, maxBatch int, queueDepth int, metrics *Metrics, shadow *shadowScorer, inj *chaos.Injector) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 32
-	}
-	if maxWait < 0 {
-		maxWait = 2 * time.Millisecond
 	}
 	if queueDepth <= 0 {
 		queueDepth = 4 * maxBatch
@@ -91,7 +87,6 @@ func newBatcher(reg *registry.Registry, maxBatch int, maxWait time.Duration, que
 		reg:      reg,
 		shadow:   shadow,
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		metrics:  metrics,
 		chaos:    inj,
 		reqs:     make(chan *request, queueDepth),
@@ -186,17 +181,12 @@ func (b *Batcher) loop() {
 		tcs   []obs.TraceContext
 		dst   []float64
 	)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		first, ok := <-b.reqs
 		if !ok {
 			return
 		}
 		batch = append(batch[:0], first)
-		timer.Reset(b.maxWait)
 	collect:
 		for len(batch) < b.maxBatch {
 			select {
@@ -205,14 +195,8 @@ func (b *Batcher) loop() {
 					break collect
 				}
 				batch = append(batch, r)
-			case <-timer.C:
+			default: // queue empty: score what is in hand now
 				break collect
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
 			}
 		}
 		// Fault seam: a configured stall lands here, after the batch forms

@@ -2,10 +2,16 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"maps"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"hdfe/internal/chaos"
 	"hdfe/internal/core"
 	"hdfe/internal/obs"
 	"hdfe/internal/registry"
@@ -17,18 +23,24 @@ import (
 // highest submit concurrency: in production the admission gate keeps
 // concurrent submits at or below the queue depth, and these tests
 // bypass the gate.
-func testBatcher(t *testing.T, dep *core.Deployment, maxBatch int, maxWait time.Duration, m *Metrics) *Batcher {
+func testBatcher(t testing.TB, dep *core.Deployment, maxBatch int, m *Metrics) *Batcher {
+	t.Helper()
+	return testBatcherChaos(t, dep, maxBatch, m, nil)
+}
+
+// testBatcherChaos is testBatcher with a fault injector on the batch loop.
+func testBatcherChaos(t testing.TB, dep *core.Deployment, maxBatch int, m *Metrics, inj *chaos.Injector) *Batcher {
 	t.Helper()
 	reg := registry.New()
 	model := reg.Adopt(dep, "batcher-test", "", "")
 	newModelState(model, Config{}.withDefaults())
 	reg.Promote(model)
-	return newBatcher(reg, maxBatch, maxWait, 128, m, nil, nil)
+	return newBatcher(reg, maxBatch, 128, m, nil, inj)
 }
 
 func TestBatcherScoresMatchDirect(t *testing.T) {
 	dep := testDeployment(t, 128)
-	b := testBatcher(t, dep, 16, time.Millisecond, nil)
+	b := testBatcher(t, dep, 16, nil)
 	defer b.Close()
 
 	d := synth.PimaM(7)
@@ -59,8 +71,10 @@ func TestBatcherScoresMatchDirect(t *testing.T) {
 func TestBatcherRespectsMaxBatch(t *testing.T) {
 	dep := testDeployment(t, 128)
 	m := NewMetrics()
-	// A long wait forces every batch to close on size, not time.
-	b := testBatcher(t, dep, 4, time.Second, m)
+	// A stall at the batch point lets requests pile up behind every
+	// batch, so batches close on size.
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 20 * time.Millisecond})
+	b := testBatcherChaos(t, dep, 4, m, inj)
 	defer b.Close()
 
 	row := synth.PimaM(7).X[0]
@@ -91,7 +105,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 
 func TestBatcherSubmitAfterCloseFails(t *testing.T) {
 	dep := testDeployment(t, 128)
-	b := testBatcher(t, dep, 8, time.Millisecond, nil)
+	b := testBatcher(t, dep, 8, nil)
 	b.Close()
 	b.Close() // idempotent
 	if _, err := b.Submit(context.Background(), synth.PimaM(7).X[0]); err != ErrClosed {
@@ -101,7 +115,7 @@ func TestBatcherSubmitAfterCloseFails(t *testing.T) {
 
 func TestBatcherSubmitHonoursContext(t *testing.T) {
 	dep := testDeployment(t, 128)
-	b := testBatcher(t, dep, 8, time.Millisecond, nil)
+	b := testBatcher(t, dep, 8, nil)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -115,7 +129,7 @@ func TestBatcherSubmitHonoursContext(t *testing.T) {
 // encode/distance shares, the batch size, and the scoring model's state.
 func TestBatcherSubmitTimedReportsStages(t *testing.T) {
 	dep := testDeployment(t, 128)
-	b := testBatcher(t, dep, 16, time.Millisecond, nil)
+	b := testBatcher(t, dep, 16, nil)
 	defer b.Close()
 
 	d := synth.PimaM(7)
@@ -159,7 +173,7 @@ func TestBatcherSubmitTimedReportsStages(t *testing.T) {
 
 func TestBatcherQueueDepthAndDraining(t *testing.T) {
 	dep := testDeployment(t, 128)
-	b := testBatcher(t, dep, 8, time.Millisecond, nil)
+	b := testBatcher(t, dep, 8, nil)
 	if b.Draining() {
 		t.Error("fresh batcher reports draining")
 	}
@@ -177,33 +191,59 @@ func TestBatcherQueueDepthAndDraining(t *testing.T) {
 func TestBatcherCloseDrainsQueued(t *testing.T) {
 	const queued = 48
 	dep := testDeployment(t, 128)
-	// Huge maxWait: requests pile into one open batch until Close drains.
-	b := testBatcher(t, dep, 1024, time.Hour, nil)
 	row := synth.PimaM(7).X[0]
 	want := dep.Score(row)
+	// The stall only has to outlast the submits reaching the queue; when
+	// it does not, the attempt is repeated with a longer stall.
+	for stall := 200 * time.Millisecond; !closeDrainsQueuedOnce(t, dep, row, want, queued, stall); stall *= 2 {
+		if stall > 10*time.Second {
+			t.Fatalf("%d submits never queued behind a %v stall", queued-1, stall)
+		}
+	}
+}
+
+// closeDrainsQueuedOnce runs one drain attempt: a chaos stall holds the
+// loop on a lone first request while the rest queue behind it, then
+// Close must score every queued request. It returns false, asserting
+// nothing, when the stall ran out before the rest were all queued.
+func closeDrainsQueuedOnce(t *testing.T, dep *core.Deployment, row []float64, want float64, queued int, stall time.Duration) bool {
+	t.Helper()
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: stall})
+	b := testBatcherChaos(t, dep, 1024, nil, inj)
 
 	var wg sync.WaitGroup
 	scores := make(chan float64, queued)
 	errs := make(chan error, queued)
-	for i := 0; i < queued; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := b.Submit(context.Background(), row)
-			if err != nil {
-				errs <- err
-				return
-			}
-			scores <- got
-		}()
+	submit := func() {
+		defer wg.Done()
+		got, err := b.Submit(context.Background(), row)
+		if err != nil {
+			errs <- err
+			return
+		}
+		scores <- got
 	}
-	// Wait until the batch loop has every request in hand, then Close: the
-	// open batch must be scored, not abandoned.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(b.reqs) > 0 || time.Now().After(deadline) {
+	wg.Add(1)
+	go submit()
+	// Fired counts the consultation before its stall sleeps: the loop
+	// now holds a batch of exactly the first request.
+	for inj.Fired(chaos.PointBatch) == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(10 * time.Millisecond)
+	for i := 1; i < queued; i++ {
+		wg.Add(1)
+		go submit()
+	}
+	for b.QueueDepth() < queued-1 {
+		if inj.Fired(chaos.PointBatch) > 1 {
+			wg.Wait()
+			b.Close()
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Every other request sits in the queue behind the stalled batch:
+	// Close must score them, not abandon them.
 	b.Close()
 	wg.Wait()
 	close(scores)
@@ -220,5 +260,161 @@ func TestBatcherCloseDrainsQueued(t *testing.T) {
 	}
 	if n != queued {
 		t.Fatalf("%d of %d queued requests answered after Close", n, queued)
+	}
+	return true
+}
+
+// TestBatcherGroupCommit pins how the default, timer-free batcher still
+// forms batches: requests that queue while the loop is busy are taken
+// together as the next batch, up to maxBatch. It asserts on observed
+// ordering only. A chaos stall holds the loop on a lone first request;
+// n more requests are submitted; once all n are seen queued while the
+// first Submit has not yet returned, the next batch must hold
+// min(n, maxBatch) of them.
+func TestBatcherGroupCommit(t *testing.T) {
+	const maxBatch = 8
+	dep := testDeployment(t, 128)
+	row := synth.PimaM(7).X[0]
+	want := dep.Score(row)
+	for _, n := range []int{5, maxBatch + 5} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			// The stall only has to outlast n submits reaching the queue.
+			// When it does not, the ordering under test was never set up,
+			// so the attempt is repeated with a longer stall instead of
+			// asserting anything about the clock.
+			for stall := 50 * time.Millisecond; ; stall *= 2 {
+				first, rest, ok := groupCommitOnce(t, dep, row, want, n, maxBatch, stall)
+				if !ok {
+					if stall > 10*time.Second {
+						t.Fatalf("%d submits never queued behind a %v stall", n, stall)
+					}
+					continue
+				}
+				if first.Size != 1 {
+					t.Errorf("lone first request scored in a batch of %d, want 1", first.Size)
+				}
+				sizes := map[int]int{}
+				for _, bt := range rest {
+					sizes[bt.Size]++
+				}
+				wantSizes := map[int]int{min(n, maxBatch): min(n, maxBatch)}
+				if n > maxBatch {
+					wantSizes[n-maxBatch] = n - maxBatch
+				}
+				if !maps.Equal(sizes, wantSizes) {
+					t.Errorf("records per batch size %v, want %v", sizes, wantSizes)
+				}
+				return
+			}
+		})
+	}
+}
+
+// groupCommitOnce runs one group-commit attempt and returns the first
+// request's timings and the other n requests' timings. ok is false when
+// the first Submit returned before all n requests were seen queued.
+func groupCommitOnce(t *testing.T, dep *core.Deployment, row []float64, want float64, n, maxBatch int, stall time.Duration) (first BatchTimings, rest []BatchTimings, ok bool) {
+	t.Helper()
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: stall})
+	b := testBatcherChaos(t, dep, maxBatch, nil, inj)
+	defer b.Close()
+
+	submit := func() BatchTimings {
+		got, bt, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{})
+		if err != nil {
+			t.Error(err)
+		} else if got != want {
+			t.Errorf("score %v, want %v", got, want)
+		}
+		return bt
+	}
+	firstDone := make(chan struct{})
+	go func() {
+		defer close(firstDone)
+		first = submit()
+	}()
+	// Fired counts the consultation before its stall sleeps: the loop
+	// now holds a batch of exactly the first request.
+	for inj.Fired(chaos.PointBatch) == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	var wg sync.WaitGroup
+	timings := make(chan BatchTimings, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			timings <- submit()
+		}()
+	}
+	ok = true
+	for b.QueueDepth() < n && ok {
+		select {
+		case <-firstDone:
+			ok = false
+		default:
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	select {
+	case <-firstDone:
+		ok = false
+	default:
+	}
+	wg.Wait()
+	<-firstDone
+	close(timings)
+	for bt := range timings {
+		rest = append(rest, bt)
+	}
+	return first, rest, ok
+}
+
+// TestServerDefaultScoresLoneRequestsAlone pins that the batcher never
+// lingers: with a zero Config, each of a sequence of lone requests is
+// scored in a batch of its own.
+func TestServerDefaultScoresLoneRequestsAlone(t *testing.T) {
+	const lone = 12
+	dep := testDeployment(t, 128)
+	s := New(dep, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	d := synth.PimaM(7)
+	for i := 0; i < lone; i++ {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: floats(d.X[i]...)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var sr scoreResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if want := dep.Score(d.X[i]); sr.Score != want {
+			t.Fatalf("request %d: served %v, direct %v", i, sr.Score, want)
+		}
+	}
+	snap := s.metrics.Snapshot()
+	if snap.Batches != lone || snap.BatchSizes[0].Size != "1" || snap.BatchSizes[0].Count != lone {
+		t.Fatalf("%d batches, size histogram %v; want %d batches of 1", snap.Batches, snap.BatchSizes, lone)
+	}
+}
+
+// BenchmarkBatcherLoneSubmit times one Submit with no concurrent load
+// through a batcher built from the default Config: the latency a lone
+// request pays for the microbatcher.
+func BenchmarkBatcherLoneSubmit(b *testing.B) {
+	dep := testDeployment(b, 128)
+	cfg := Config{}.withDefaults()
+	bt := testBatcher(b, dep, cfg.MaxBatch, nil)
+	defer bt.Close()
+	row := synth.PimaM(7).X[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bt.Submit(context.Background(), row); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -41,7 +41,6 @@ func TestChaosStalledStageShedsDeadlines(t *testing.T) {
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 100 * time.Millisecond})
 	s := New(dep, Config{
 		MaxBatch:       8,
-		MaxWait:        time.Millisecond,
 		RequestTimeout: 25 * time.Millisecond,
 		Chaos:          inj,
 	})
@@ -104,7 +103,6 @@ func TestChaosLoadFailureKeepsServing(t *testing.T) {
 	s := New(dep, Config{
 		ModelName: "boot",
 		ModelPath: path,
-		MaxWait:   time.Millisecond,
 		Chaos:     inj,
 	})
 	defer s.Close()
@@ -167,7 +165,7 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 	}
 
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointShadow, P: 1, Delay: 50 * time.Millisecond})
-	s := New(dep, Config{MaxWait: time.Millisecond, ShadowQueue: 1, Chaos: inj})
+	s := New(dep, Config{ShadowQueue: 1, Chaos: inj})
 	defer s.Close()
 	if _, err := s.AdoptShadow(cand, "slow-canary"); err != nil {
 		t.Fatal(err)
@@ -214,7 +212,7 @@ func TestChaosSlowShadowDropsNotBlocks(t *testing.T) {
 func TestDeadlineHeaderTightensBudget(t *testing.T) {
 	dep := testDeployment(t, 128)
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 80 * time.Millisecond})
-	s := New(dep, Config{MaxWait: time.Millisecond, RequestTimeout: 5 * time.Second, Chaos: inj})
+	s := New(dep, Config{RequestTimeout: 5 * time.Second, Chaos: inj})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

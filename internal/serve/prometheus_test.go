@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"hdfe/internal/obs"
 	"hdfe/internal/synth"
@@ -110,7 +109,7 @@ func scrape(t *testing.T, ts *httptest.Server) (string, *http.Response) {
 
 func TestPrometheusExposition(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{ModelName: "prom-test", MaxWait: time.Millisecond})
+	s := New(dep, Config{ModelName: "prom-test"})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -181,7 +180,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestTracesEndpoint(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceBuffer: 8})
+	s := New(dep, Config{TraceBuffer: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -237,7 +236,7 @@ func TestTracesEndpoint(t *testing.T) {
 
 func TestMetricsJSONHeadersAndShape(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -43,11 +43,10 @@ type Config struct {
 	// ModelSHA256 is the hex digest of the boot model's artifact bytes
 	// (registry.ReadFile computes it).
 	ModelSHA256 string
-	// MaxBatch caps microbatch size (default 32).
+	// MaxBatch caps microbatch size (default 32). A batch never waits to
+	// fill: it takes whatever is queued and is scored at once, so batches
+	// form from requests that pile up while the previous one is scored.
 	MaxBatch int
-	// MaxWait is how long an open microbatch waits for more requests
-	// before scoring (default 2ms; 0 keeps batching purely opportunistic).
-	MaxWait time.Duration
 	// RequestTimeout bounds one request end to end (default 5s).
 	RequestTimeout time.Duration
 	// ShutdownTimeout bounds the HTTP drain on shutdown (default 10s).
@@ -154,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -307,7 +303,7 @@ func New(sc core.Scorer, cfg Config) *Server {
 	s.profiler.Start()
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.RetryAfter)
 	s.shadow = newShadowScorer(s.reg, cfg.ShadowQueue, cfg.RequestTimeout, cfg.Chaos, s.exporter)
-	s.batcher = newBatcher(s.reg, cfg.MaxBatch, cfg.MaxWait, cfg.QueueDepth, m, s.shadow, cfg.Chaos)
+	s.batcher = newBatcher(s.reg, cfg.MaxBatch, cfg.QueueDepth, m, s.shadow, cfg.Chaos)
 	s.mux.HandleFunc("/v1/score", s.traced("score", s.handleScore))
 	s.mux.HandleFunc("/v1/score/batch", s.traced("score_batch", s.handleScoreBatch))
 	s.mux.HandleFunc("/v1/feedback", s.handleFeedback)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hdfe/internal/chaos"
 	"hdfe/internal/core"
 	"hdfe/internal/synth"
 )
@@ -60,7 +61,7 @@ func floats(vs ...float64) []*float64 {
 
 func TestScoreMatchesDirectScore(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -91,7 +92,7 @@ func TestScoreMatchesDirectScore(t *testing.T) {
 
 func TestScoreMissingValueMatchesNaNContract(t *testing.T) {
 	dep := testDeployment(t, 256)
-	s := New(dep, Config{MaxWait: time.Millisecond})
+	s := New(dep, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -234,7 +235,7 @@ func TestLoadConcurrentClients(t *testing.T) {
 		distinctRow = 100
 	)
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxBatch: 64, MaxWait: 500 * time.Microsecond})
+	s := New(dep, Config{MaxBatch: 64})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -341,13 +342,15 @@ func TestLoadConcurrentClients(t *testing.T) {
 
 // TestGracefulShutdownDrains verifies the drain contract: requests
 // accepted before shutdown all receive correct responses, even when they
-// are sitting in an open microbatch when the listener closes.
+// are queued behind a batch still being scored when the listener closes.
 func TestGracefulShutdownDrains(t *testing.T) {
 	const inflight = 96
 	dep := testDeployment(t, 128)
-	// A large MaxBatch and long MaxWait hold requests in an open batch so
-	// shutdown provably overlaps queued work.
-	s := New(dep, Config{MaxBatch: 256, MaxWait: 300 * time.Millisecond, RequestTimeout: 10 * time.Second})
+	// A 300ms stall at the batch point holds the loop on its first batch
+	// while the rest queue behind it, so shutdown provably overlaps queued
+	// work; a large MaxBatch lets them drain as one batch.
+	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 300 * time.Millisecond})
+	s := New(dep, Config{MaxBatch: 256, RequestTimeout: 10 * time.Second, Chaos: inj})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

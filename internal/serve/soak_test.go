@@ -51,7 +51,6 @@ func TestOverloadSoak(t *testing.T) {
 	})
 	s := New(dep, Config{
 		MaxBatch:       32,
-		MaxWait:        time.Millisecond,
 		MaxInFlight:    maxInFlight,
 		RetryAfter:     1500 * time.Millisecond,
 		RequestTimeout: 2 * time.Second,

@@ -61,7 +61,7 @@ func postScore(t *testing.T, ts *httptest.Server, features []*float64, headers m
 // adopted identity shows up in /debug/traces.
 func TestTraceparentAdoptionEndToEnd(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -114,7 +114,7 @@ func TestTraceparentAdoptionEndToEnd(t *testing.T) {
 // falls back to a fresh identity and still echoes a valid traceparent.
 func TestTraceparentMalformedNeverFails(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -166,7 +166,6 @@ func TestErrorBodiesCarryTraceID(t *testing.T) {
 	// next arrival) and overruns a 20ms client deadline (504).
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: 150 * time.Millisecond})
 	s := New(dep, Config{
-		MaxWait:        time.Millisecond,
 		MaxInFlight:    1,
 		RequestTimeout: 400 * time.Millisecond,
 		Chaos:          inj,
@@ -276,7 +275,6 @@ func TestOTLPExportEndToEnd(t *testing.T) {
 
 	dep := testDeployment(t, 128)
 	s := New(dep, Config{
-		MaxWait:      time.Millisecond,
 		OTLPEndpoint: col.URL,
 		TraceSample:  1,
 		TraceSeed:    42,
@@ -357,7 +355,7 @@ func TestChaosExportStallScoresUnaffected(t *testing.T) {
 	}
 
 	// Baseline: no exporter at all.
-	base := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	base := New(dep, Config{TraceSeed: 42})
 	want := score(base)
 	base.Close()
 
@@ -373,7 +371,6 @@ func TestChaosExportStallScoresUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(dep, Config{
-		MaxWait:         time.Millisecond,
 		TraceSeed:       42,
 		OTLPEndpoint:    col.URL,
 		TraceSample:     1,
@@ -421,7 +418,7 @@ func TestChaosExportStallScoresUnaffected(t *testing.T) {
 // OpenMetrics exemplar referencing a real trace ID.
 func TestExemplarsOnLatencyHistogram(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -460,7 +457,7 @@ func firstMatching(metrics, sub string) string {
 // objective into fast_burn on the wire-visible state field.
 func TestDebugSLOEndpoint(t *testing.T) {
 	dep := testDeployment(t, 128)
-	s := New(dep, Config{MaxWait: time.Millisecond, TraceSeed: 42})
+	s := New(dep, Config{TraceSeed: 42})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
