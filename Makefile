@@ -1,7 +1,8 @@
 # Tier-1 entry points for hdfe. `make test` is the gate every change must
 # pass; `make test-race` runs the whole module (serving suite included)
-# under the race detector; `make fuzz-smoke` gives each fuzz target a short
-# budget; `make bench` times the bundling, level-encode and Hamming
+# under the race detector; `make test-stress` reruns the timing and
+# ordering e2e tests under it at 1, 2 and 4 Ps; `make fuzz-smoke` gives
+# each fuzz target a short budget; `make bench` times the bundling, level-encode and Hamming
 # kernels, paper-scale leave-one-out and a lone request through the
 # default microbatcher, and tracks the zero-allocation encode/score path;
 # `make obs-smoke` boots hdserve and asserts the /metrics surface;
@@ -15,7 +16,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all fmt vet test test-race fuzz-smoke bench obs-smoke trace-smoke prof-smoke audit-smoke cover cover-baseline
+.PHONY: all fmt vet test test-race test-stress fuzz-smoke bench obs-smoke trace-smoke prof-smoke audit-smoke cover cover-baseline
 
 all: fmt vet test
 
@@ -32,6 +33,13 @@ test:
 # automatically instead of a hand-maintained list going stale.
 test-race:
 	$(GO) test -race ./...
+
+# The timing- and ordering-sensitive e2e tests, repeated under the race
+# detector across GOMAXPROCS 1, 2 and 4: the recurrence guard for
+# failures that only show under contention or a particular P count.
+STRESS_TESTS = TestOverloadSoak|TestBatcherGroupCommit|TestBatcherCloseDrainsQueued|TestGracefulShutdownDrains|TestAuditChaosRaceE2E|TestGoroutineLeakWatchdogE2E|TestOneRecordAgreementE2E
+test-stress:
+	$(GO) test -race -count=3 -cpu=1,2,4 -run '^($(STRESS_TESTS))$$' ./internal/serve ./internal/obs/prof
 
 fuzz-smoke:
 	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzEncodeRecordInto$$' -fuzztime $(FUZZTIME)

@@ -13,7 +13,7 @@
 //	        [-otlp-endpoint ""] [-trace-sample 0.01]
 //	        [-slo-target 0.999] [-slo-latency-ms 250]
 //	        [-prof-interval 30s] [-prof-ring 16] [-prof-cpu-ms 250]
-//	        [-prof-baseline ""] [-watchdog=true]
+//	        [-watchdog=true]
 //	        [-audit-dir ""] [-audit-max-bytes 8388608] [-audit-fsync none]
 //	        [-audit-queue 4096] [-audit-ring 64]
 //	        [-log-format text|json] [-log-level info] [-pprof]
@@ -35,8 +35,10 @@
 // score-delta metrics for canary comparison before promotion. -shadow
 // installs such a shadow at boot; GET /v1/models reports the registry.
 //
-// Observability: every request is logged structurally (log/slog, text or
-// JSON) with its trace ID, route, status, latency, and microbatch size.
+// Observability: each scoring request has one record (its trace), from
+// which its counters, latency histogram, audit event, spans, and one
+// structured log line (log/slog, text or JSON: trace ID, route, status,
+// latency, microbatch size) all derive.
 // /metrics serves Prometheus text format, /metrics.json the legacy JSON
 // snapshot, /debug/traces the recent and slowest per-stage request
 // traces, and -pprof mounts net/http/pprof under /debug/pprof/.
@@ -56,10 +58,10 @@
 // -prof-interval cadence — CPU (a -prof-cpu-ms window), heap, goroutine,
 // and rate-gated mutex/block profiles land in a bounded in-memory ring of
 // -prof-ring gzipped pprof blobs, each tagged with its trigger and the
-// runtime state at capture time. /debug/prof serves the ring index, the
-// top-N CPU table with a delta against the baseline (-prof-baseline or
-// the first capture since boot), and the runtime watchdog states;
-// /debug/prof/{id} downloads a blob `go tool pprof` reads directly.
+// runtime state at capture time. /debug/prof serves the ring index and
+// the runtime watchdog states; /debug/prof/{id} downloads a blob that
+// `go tool pprof -top` reads directly, and `-diff_base` against an
+// earlier download shows what changed.
 // Watchdogs (goroutine high-water/leak, heap-growth slope, GC-pause p99)
 // fire edge-triggered warnings and capture out-of-cycle evidence
 // profiles; -watchdog=false turns them off. hdfe_prof_* and
@@ -168,7 +170,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		profInterval  = fs.Duration("prof-interval", prof.DefaultInterval, "continuous-profiling capture cadence (0 disables scheduled captures)")
 		profRing      = fs.Int("prof-ring", prof.DefaultRingSize, "profile capture ring capacity")
 		profCPUMs     = fs.Int("prof-cpu-ms", int(prof.DefaultCPUDuration/time.Millisecond), "CPU profile sampling window per cycle, in milliseconds")
-		profBaseline  = fs.String("prof-baseline", "", "committed pprof CPU profile to delta live captures against (default: first capture since boot)")
 		watchdog      = fs.Bool("watchdog", true, "enable the goroutine/heap/GC-pause runtime watchdogs")
 		auditDir      = fs.String("audit-dir", "", "directory for the hash-chained decision audit log (empty disables auditing)")
 		auditMaxBytes = fs.Int64("audit-max-bytes", 8<<20, "audit segment size before rotation")
@@ -289,7 +290,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		SLOLatency:       time.Duration(*sloLatencyMs) * time.Millisecond,
 		Logger:           logger,
 		EnablePprof:      *pprofFlag,
-		Prof:             profConfig(*profInterval, *profRing, *profCPUMs, *profBaseline, *watchdog),
+		Prof:             profConfig(*profInterval, *profRing, *profCPUMs, *watchdog),
 		Audit:            auditLog,
 	})
 	if *shadowPath != "" {
@@ -344,12 +345,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // On the flag surface 0 means "off" (the natural CLI reading); in
 // prof.Config 0 means "default" and negative means off, so the zero
 // values are translated here.
-func profConfig(interval time.Duration, ring, cpuMs int, baseline string, watchdog bool) prof.Config {
+func profConfig(interval time.Duration, ring, cpuMs int, watchdog bool) prof.Config {
 	cfg := prof.Config{
-		Interval:     interval,
-		CPUDuration:  time.Duration(cpuMs) * time.Millisecond,
-		RingSize:     ring,
-		BaselinePath: baseline,
+		Interval:    interval,
+		CPUDuration: time.Duration(cpuMs) * time.Millisecond,
+		RingSize:    ring,
 	}
 	if interval <= 0 {
 		cfg.Interval = -1

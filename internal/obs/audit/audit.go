@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/obs"
 )
 
 // Outcome classifies what the service did with a request.
@@ -246,9 +247,7 @@ type Log struct {
 	headMu sync.Mutex
 	head   string
 
-	ringMu sync.Mutex
-	ring   []Event
-	ringN  int // total pushed; ring[(ringN-1)%len] is newest
+	recent *obs.Ring[Event] // recently written events, for /debug/audit
 
 	mu     sync.RWMutex // guards closed vs. Enqueue, so close(queue) is safe
 	closed bool
@@ -280,9 +279,10 @@ func Open(cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("audit: %v", err)
 	}
 	l := &Log{
-		cfg:   cfg,
-		queue: make(chan Event, cfg.QueueSize),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		recent: obs.NewRing[Event](cfg.RingSize),
+		queue:  make(chan Event, cfg.QueueSize),
+		done:   make(chan struct{}),
 	}
 	if err := l.recover(); err != nil {
 		return nil, err
@@ -460,7 +460,7 @@ func (l *Log) write(ev Event) {
 	if int(ev.Outcome) < int(numOutcomes) {
 		l.events[ev.Outcome].Add(1)
 	}
-	l.push(ev)
+	l.recent.Push(ev)
 	if l.cfg.Fsync == FsyncAlways {
 		l.sync()
 	}
@@ -511,33 +511,12 @@ func (l *Log) setHead(h string) {
 	l.headMu.Unlock()
 }
 
-// push records ev in the recent-events ring for /debug/audit.
-func (l *Log) push(ev Event) {
-	l.ringMu.Lock()
-	if l.ring == nil {
-		l.ring = make([]Event, l.cfg.RingSize)
-	}
-	l.ring[l.ringN%len(l.ring)] = ev
-	l.ringN++
-	l.ringMu.Unlock()
-}
-
 // Recent returns the most recent written events, newest first. Nil-safe.
 func (l *Log) Recent() []Event {
 	if l == nil {
 		return nil
 	}
-	l.ringMu.Lock()
-	defer l.ringMu.Unlock()
-	n := l.ringN
-	if n > len(l.ring) {
-		n = len(l.ring)
-	}
-	out := make([]Event, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, l.ring[(l.ringN-1-i)%len(l.ring)])
-	}
-	return out
+	return l.recent.Newest()
 }
 
 // Dir reports the segment directory. Nil-safe.

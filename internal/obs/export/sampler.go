@@ -68,7 +68,7 @@ func (s *Sampler) decide(t obs.Trace) (bool, string) {
 	if t.Status >= 500 {
 		return true, KeepError
 	}
-	if t.Shed != "" || t.Status == 429 {
+	if t.Outcome == obs.OutcomeShed || t.Status == 429 {
 		return true, KeepShed
 	}
 	if s.slow != nil {

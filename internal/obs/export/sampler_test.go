@@ -13,7 +13,9 @@ func trace(status int, shed string, total time.Duration) obs.Trace {
 	t.Ctx.SpanID[7] = 1
 	t.Route = "score"
 	t.Status = status
-	t.Shed = shed
+	if shed != "" {
+		t.Outcome, t.Reason = obs.OutcomeShed, shed
+	}
 	t.Total = total
 	return t
 }

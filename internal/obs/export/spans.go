@@ -37,8 +37,8 @@ func FromTrace(t obs.Trace) []Span {
 	msg := ""
 	if t.Status >= 400 {
 		status = StatusError
-		if t.Shed != "" {
-			msg = "shed: " + t.Shed
+		if t.Outcome == obs.OutcomeShed {
+			msg = "shed: " + t.Reason
 		}
 	}
 	root := Span{
@@ -62,8 +62,8 @@ func FromTrace(t obs.Trace) []Span {
 	if t.Model > 0 {
 		root.Attrs = append(root.Attrs, Int("hdfe.model_version", int64(t.Model)))
 	}
-	if t.Shed != "" {
-		root.Attrs = append(root.Attrs, String("hdfe.shed_reason", t.Shed))
+	if t.Outcome == obs.OutcomeShed {
+		root.Attrs = append(root.Attrs, String("hdfe.shed_reason", t.Reason))
 	}
 	spans := make([]Span, 0, 1+obs.NumStages)
 	spans = append(spans, root)

@@ -12,6 +12,13 @@ func TestHistogram(t *testing.T) {
 	if q := h.Snapshot().Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile %v, want 0", q)
 	}
+	var zero Histogram
+	if zero.Observe(0) != 0 || zero.Observe(-time.Millisecond) != 0 {
+		t.Fatal("non-positive durations must land in the first bucket")
+	}
+	if s := zero.Snapshot(); s.Count != 2 || s.Quantile(1) != LatencyBound(0)/subBuckets {
+		t.Fatalf("non-positive samples: count %d, p100 %v", s.Count, s.Quantile(1))
+	}
 	// A duration exactly on a bound lands in that bound's bucket; one
 	// nanosecond more spills into the next.
 	for i := 0; i < NumLatencyBuckets; i++ {
@@ -42,6 +49,16 @@ func TestHistogram(t *testing.T) {
 	// The maximum sits in the overflow bucket: twice the last bound.
 	if q := s.Quantile(1); q != 2*LatencyBound(NumLatencyBuckets-1) {
 		t.Fatalf("p100 %v, want the overflow value", q)
+	}
+
+	// Quantiles resolve eight sub-buckets per exposed bucket: a lone
+	// sample past the first bound reads at most 12.5% high, never low.
+	for d := LatencyBound(0) + 1; d <= LatencyBound(NumLatencyBuckets-1); d = d*21/20 + 7 {
+		var one Histogram
+		one.Observe(d)
+		if q := one.Snapshot().Quantile(1); q < d || float64(q) > 1.125*float64(d) {
+			t.Fatalf("sample %v reads %v, want within [d, 1.125d]", d, q)
+		}
 	}
 
 	var buf bytes.Buffer

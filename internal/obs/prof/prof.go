@@ -5,11 +5,11 @@
 // rates); this package observes the process. A Profiler periodically
 // captures CPU, heap, goroutine, and rate-gated mutex/block profiles into
 // a bounded in-memory ring of gzipped pprof blobs, each tagged with what
-// triggered it and the runtime stats at the moment of capture. A
-// lightweight pprof parser (pprofparse.go) folds captures into top-N
-// flat/cumulative function tables and deltas them against a baseline
-// profile, so "encode got 2x hotter since the baseline" is a queryable
-// fact instead of a flamegraph archaeology session.
+// triggered it and the runtime stats at the moment of capture. Each blob
+// downloads from /debug/prof/{id} exactly as runtime/pprof wrote it, so
+// `go tool pprof -top` answers "what is hot" and `-diff_base` against an
+// earlier download answers "what changed" — offline, with no parser in
+// the server.
 //
 // Watchdogs (watchdog.go) watch goroutine count, heap-growth slope, and
 // GC-pause p99 over a one-minute sample ring. They are edge-triggered —
@@ -22,17 +22,17 @@
 // histograms, heap in-use and goal, goroutines, cumulative mutex wait)
 // through the shared obs.PromWriter.
 //
-// Everything is in-process and dependency-free by design: profiles are
-// aggregated where they are taken, and only bounded metadata plus the
-// ring's bounded blobs are held. Scoring never waits on this package —
-// captures run on the profiler's own goroutine, and the watchdog tick is
-// a handful of runtime/metrics reads per second.
+// Everything is in-process and dependency-free by design: only bounded
+// metadata plus the ring's bounded blobs are held. Scoring never waits
+// on this package — captures run on the profiler's own goroutine, and
+// the watchdog tick is a handful of runtime/metrics reads per second.
 package prof
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"hdfe/internal/obs"
 )
 
 // Capture kinds, matching runtime/pprof profile names (cpu is the
@@ -89,89 +89,46 @@ type Capture struct {
 	Blob []byte
 }
 
-// Ring is a bounded, mutex-guarded ring of captures. New captures evict
-// the oldest; memory stays bounded by capacity times blob size (CPU blobs
-// at the default 250ms window are a few KiB).
+// Ring is the bounded capture ring: an obs.Ring of captures that also
+// assigns each one its ID. New captures evict the oldest; memory stays
+// bounded by capacity times blob size (CPU blobs at the default 250ms
+// window are a few KiB).
 type Ring struct {
-	mu     sync.Mutex
-	buf    []Capture
-	next   int // index of the slot the next Add overwrites
-	filled bool
+	ring   *obs.Ring[Capture]
 	nextID atomic.Uint64
 }
 
 // NewRing builds a ring holding up to capacity captures (min 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Capture, 0, capacity)}
+	return &Ring{ring: obs.NewRing[Capture](capacity)}
 }
 
 // Add stores a capture, assigns it the next ID, and returns that ID.
 func (r *Ring) Add(c Capture) uint64 {
 	c.Meta.ID = r.nextID.Add(1)
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, c)
-	} else {
-		r.buf[r.next] = c
-		r.next = (r.next + 1) % cap(r.buf)
-		r.filled = true
-	}
-	r.mu.Unlock()
+	r.ring.Push(c)
 	return c.Meta.ID
 }
 
 // List returns capture metadata, newest first.
 func (r *Ring) List() []CaptureMeta {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CaptureMeta, 0, len(r.buf))
-	// Walk backwards from the most recently written slot.
-	for i := 0; i < len(r.buf); i++ {
-		idx := (r.next - 1 - i + 2*len(r.buf)) % len(r.buf)
-		if !r.filled {
-			// Not yet wrapped: slots 0..len-1 in insertion order and
-			// r.next is meaningless; newest is the last element.
-			idx = len(r.buf) - 1 - i
-		}
-		out = append(out, r.buf[idx].Meta)
+	caps := r.ring.Newest()
+	out := make([]CaptureMeta, len(caps))
+	for i, c := range caps {
+		out[i] = c.Meta
 	}
 	return out
 }
 
 // Get returns the capture with the given ID, if it is still in the ring.
 func (r *Ring) Get(id uint64) (Capture, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.buf {
-		if r.buf[i].Meta.ID == id {
-			return r.buf[i], true
+	for _, c := range r.ring.Newest() {
+		if c.Meta.ID == id {
+			return c, true
 		}
 	}
 	return Capture{}, false
 }
 
 // Len reports how many captures the ring currently holds.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Latest returns the newest capture of the given kind, if any.
-func (r *Ring) Latest(kind string) (Capture, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var (
-		best  Capture
-		found bool
-	)
-	for i := range r.buf {
-		if r.buf[i].Meta.Kind == kind && (!found || r.buf[i].Meta.ID > best.Meta.ID) {
-			best, found = r.buf[i], true
-		}
-	}
-	return best, found
-}
+func (r *Ring) Len() int { return r.ring.Len() }

@@ -1,6 +1,36 @@
 package prof
 
-import "testing"
+import (
+	"bytes"
+	"compress/gzip"
+	"io"
+	"testing"
+)
+
+// gunzip decompresses a capture blob, failing the test if it is not
+// gzip: the pprof protobuf inside keeps function names as plain strings.
+func gunzip(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("blob is not gzipped: %v", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("blob does not gunzip: %v", err)
+	}
+	return raw
+}
+
+// hasKind reports whether any capture in the ring is of the given kind.
+func hasKind(r *Ring, kind string) bool {
+	for _, m := range r.List() {
+		if m.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
 
 func TestRingEviction(t *testing.T) {
 	r := NewRing(3)
@@ -38,20 +68,6 @@ func TestRingListBeforeWrap(t *testing.T) {
 	list := r.List()
 	if len(list) != 2 || list[0].ID != 2 || list[1].ID != 1 {
 		t.Fatalf("list = %+v, want ids [2 1]", list)
-	}
-}
-
-func TestRingLatestByKind(t *testing.T) {
-	r := NewRing(4)
-	r.Add(Capture{Meta: CaptureMeta{Kind: KindCPU}})
-	r.Add(Capture{Meta: CaptureMeta{Kind: KindHeap}})
-	r.Add(Capture{Meta: CaptureMeta{Kind: KindCPU}})
-	c, ok := r.Latest(KindCPU)
-	if !ok || c.Meta.ID != 3 {
-		t.Fatalf("Latest(cpu) = %+v, %v, want id 3", c.Meta, ok)
-	}
-	if _, ok := r.Latest(KindMutex); ok {
-		t.Fatal("Latest(mutex) should be absent")
 	}
 }
 

@@ -273,9 +273,3 @@ func (e *Engine) Snapshot() Snapshot {
 	e.mu.Unlock()
 	return s
 }
-
-// States returns the current burn state per objective (re-evaluated).
-func (e *Engine) States() (availability, latency string) {
-	s := e.Snapshot()
-	return s.AvailabilityState, s.LatencyState
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 )
 
 // TraceContext is a W3C trace-context identity: the 128-bit trace ID
@@ -39,7 +38,14 @@ func (tc TraceContext) SpanIDString() string { return hex.EncodeToString(tc.Span
 
 // Traceparent renders the version-00 traceparent header value.
 func (tc TraceContext) Traceparent() string {
-	return fmt.Sprintf("00-%s-%s-%02x", tc.TraceIDString(), tc.SpanIDString(), tc.Flags)
+	var b [traceparentLen]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], tc.TraceID[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], tc.SpanID[:])
+	b[52] = '-'
+	hex.Encode(b[53:], []byte{tc.Flags})
+	return string(b[:])
 }
 
 // traceparent field layout: 2 version chars, then '-' separated 32-char

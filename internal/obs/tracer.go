@@ -7,20 +7,42 @@ import (
 	"time"
 )
 
-// Trace is one finished request's record: identity, outcome, and how long
-// each pipeline stage took. A stage the request never entered stays zero.
+// Outcome is how a traced request ended, as its handler annotated it.
+type Outcome uint8
+
+// The request outcomes.
+const (
+	// OutcomeNone: not classified (a wrong method); counted and audited
+	// nowhere.
+	OutcomeNone Outcome = iota
+	// OutcomeScored: answered with scores.
+	OutcomeScored
+	// OutcomeInvalid: rejected by record validation (a 400 carrying
+	// per-field details).
+	OutcomeInvalid
+	// OutcomeError: any other error response.
+	OutcomeError
+	// OutcomeShed: refused by overload protection; Reason names why.
+	OutcomeShed
+)
+
+// Trace is one finished request's record — the single source every
+// per-request view derives from: identity, outcome, and how long each
+// pipeline stage took. A stage the request never entered stays zero.
 type Trace struct {
-	ID     uint64
-	Ctx    TraceContext // W3C identity: trace ID, this request's span ID, flags
-	Parent [8]byte      // upstream span ID when Ctx was adopted (zero otherwise)
-	Route  string
-	Status int
-	Start  time.Time
-	Total  time.Duration
-	Batch  int    // microbatch size the record was scored in (0 if n/a)
-	Model  uint64 // registry version of the model that scored it (0 if n/a)
-	Shed   string // overload/deadline shed reason ("" if the request was served)
-	Stages [NumStages]time.Duration
+	ID      uint64
+	Ctx     TraceContext // W3C identity: trace ID, this request's span ID, flags
+	TraceID string       // Ctx.TraceID in hex, once ActiveTrace.Traceparent rendered it
+	Parent  [8]byte      // upstream span ID when Ctx was adopted (zero otherwise)
+	Route   string
+	Status  int
+	Start   time.Time
+	Total   time.Duration
+	Outcome Outcome
+	Reason  string // shed reason or error message ("" if scored)
+	Batch   int    // microbatch size, or a batch request's record count (0 if n/a)
+	Model   uint64 // registry version of the model that scored it (0 if n/a)
+	Stages  [NumStages]time.Duration
 }
 
 // StageStats is a point-in-time copy of one stage's histogram.
@@ -37,24 +59,16 @@ type Tracer struct {
 	seed   uint64 // trace/span ID derivation seed
 	hist   [NumStages]Histogram
 	pool   sync.Pool
+	recent *Ring[Trace]
 
-	mu        sync.Mutex
-	recent    []Trace // ring buffer of the last len(recent) traces
-	recentPos int
-	recentLen int
-	slowest   []Trace // unordered; the smallest Total is evicted first
-	slowLen   int
+	mu      sync.Mutex
+	slowest []Trace // unordered; the smallest Total is evicted first
+	slowLen int
 }
 
-// NewTracer returns a tracer keeping the size most recent and size
-// slowest traces (size <= 0 defaults to 64). Generated trace IDs are
-// seeded from the wall clock; use NewTracerSeeded for reproducible IDs.
-func NewTracer(size int) *Tracer {
-	return NewTracerSeeded(size, uint64(time.Now().UnixNano()))
-}
-
-// NewTracerSeeded is NewTracer with a fixed seed for the generated
-// W3C trace/span IDs, so tests asserting on exported spans or
+// NewTracerSeeded returns a tracer keeping the size most recent and
+// size slowest traces (size <= 0 defaults to 64). seed derives the
+// generated W3C trace/span IDs, so tests asserting on exported spans or
 // sampling decisions replay deterministically.
 func NewTracerSeeded(size int, seed uint64) *Tracer {
 	if size <= 0 {
@@ -62,7 +76,7 @@ func NewTracerSeeded(size int, seed uint64) *Tracer {
 	}
 	t := &Tracer{
 		seed:    seed,
-		recent:  make([]Trace, size),
+		recent:  NewRing[Trace](size),
 		slowest: make([]Trace, size),
 	}
 	t.pool.New = func() any { return new(ActiveTrace) }
@@ -74,9 +88,10 @@ func NewTracerSeeded(size int, seed uint64) *Tracer {
 // once — Finish recycles the recorder. All methods are nil-safe so
 // untraced code paths cost a single branch.
 type ActiveTrace struct {
-	tr   *Tracer
-	t    Trace
-	mark time.Time
+	tr          *Tracer
+	t           Trace
+	traceparent string
+	mark        time.Time
 }
 
 // Start opens a trace for one request on the given route with a freshly
@@ -109,6 +124,7 @@ func (tr *Tracer) StartWith(route string, parent TraceContext) *ActiveTrace {
 	ctx.SpanID = newSpanID(tr.seed, id)
 	a.tr = tr
 	a.t = Trace{ID: id, Ctx: ctx, Parent: upstream, Route: route, Start: now}
+	a.traceparent = ""
 	a.mark = now
 	return a
 }
@@ -129,6 +145,30 @@ func (a *ActiveTrace) Route() string {
 	return a.t.Route
 }
 
+// Traceparent returns the request's traceparent header value, rendering
+// it on first use. The record's TraceID is the trace-ID substring of
+// that one rendering, so a request hex-encodes its identity once.
+func (a *ActiveTrace) Traceparent() string {
+	if a == nil {
+		return ""
+	}
+	if a.traceparent == "" {
+		a.traceparent = a.t.Ctx.Traceparent()
+		a.t.TraceID = a.traceparent[3:35]
+	}
+	return a.traceparent
+}
+
+// TraceID returns the request's W3C trace ID as 32 hex characters ("" on
+// a nil recorder) — what error bodies carry.
+func (a *ActiveTrace) TraceID() string {
+	if a == nil {
+		return ""
+	}
+	a.Traceparent()
+	return a.t.TraceID
+}
+
 // Context returns the request's W3C trace identity — what response
 // traceparent headers and exported spans carry.
 func (a *ActiveTrace) Context() TraceContext {
@@ -138,14 +178,14 @@ func (a *ActiveTrace) Context() TraceContext {
 	return a.t.Ctx
 }
 
-// SetShed records why overload protection refused this request, so shed
-// traces are attributable at /debug/traces and always survive tail
-// sampling.
-func (a *ActiveTrace) SetShed(reason string) {
+// SetOutcome records how the request ended and why (the shed reason or
+// error message), so every view of the record — counters, audit events,
+// /debug/traces, tail sampling — attributes it the same way.
+func (a *ActiveTrace) SetOutcome(o Outcome, reason string) {
 	if a == nil {
 		return
 	}
-	a.t.Shed = reason
+	a.t.Outcome, a.t.Reason = o, reason
 }
 
 // Step attributes the time since the last mark (Start, Step, or Mark) to
@@ -177,7 +217,8 @@ func (a *ActiveTrace) Add(s Stage, d time.Duration) {
 	a.t.Stages[s] += d
 }
 
-// SetBatch records the microbatch size the request was scored in.
+// SetBatch records how many records the request was scored with: the
+// microbatch size on /v1/score, the request's record count on a batch.
 func (a *ActiveTrace) SetBatch(n int) {
 	if a == nil {
 		return
@@ -198,8 +239,8 @@ func (a *ActiveTrace) SetModel(version uint64) {
 // Finish closes the trace with the response status, folds every recorded
 // stage into the tracer's histograms, files the trace into the
 // recent/slowest rings, and recycles the recorder. It returns a copy of
-// the finished trace (for request logging). The recorder must not be
-// used after Finish.
+// the finished trace, from which the caller derives the remaining
+// views. The recorder must not be used after Finish.
 func (a *ActiveTrace) Finish(status int) Trace {
 	if a == nil {
 		return Trace{}
@@ -221,12 +262,8 @@ func (a *ActiveTrace) Finish(status int) Trace {
 
 // record files one finished trace into both rings.
 func (tr *Tracer) record(t Trace) {
+	tr.recent.Push(t)
 	tr.mu.Lock()
-	tr.recent[tr.recentPos] = t
-	tr.recentPos = (tr.recentPos + 1) % len(tr.recent)
-	if tr.recentLen < len(tr.recent) {
-		tr.recentLen++
-	}
 	if tr.slowLen < len(tr.slowest) {
 		tr.slowest[tr.slowLen] = t
 		tr.slowLen++
@@ -269,17 +306,22 @@ type TraceView struct {
 }
 
 func (t Trace) view() TraceView {
+	if t.TraceID == "" {
+		t.TraceID = t.Ctx.TraceIDString()
+	}
 	v := TraceView{
 		ID:          t.ID,
-		TraceID:     t.Ctx.TraceIDString(),
+		TraceID:     t.TraceID,
 		Route:       t.Route,
 		Status:      t.Status,
 		Start:       t.Start,
 		TotalMicros: float64(t.Total) / float64(time.Microsecond),
 		Batch:       t.Batch,
 		Model:       t.Model,
-		Shed:        t.Shed,
 		Stages:      make(map[string]float64, NumStages),
+	}
+	if t.Outcome == OutcomeShed {
+		v.Shed = t.Reason
 	}
 	for s := 0; s < NumStages; s++ {
 		if d := t.Stages[s]; d > 0 {
@@ -293,13 +335,8 @@ func (t Trace) view() TraceView {
 // slowest traces (slowest first) as JSON-ready views. This path may
 // allocate freely — it serves /debug/traces, not the hot path.
 func (tr *Tracer) TraceViews() (recent, slowest []TraceView) {
+	rec := tr.recent.Newest()
 	tr.mu.Lock()
-	rec := make([]Trace, 0, tr.recentLen)
-	for i := 0; i < tr.recentLen; i++ {
-		// Walk backwards from the last write so newest comes first.
-		idx := (tr.recentPos - 1 - i + len(tr.recent)*2) % len(tr.recent)
-		rec = append(rec, tr.recent[idx])
-	}
 	slow := append([]Trace(nil), tr.slowest[:tr.slowLen]...)
 	tr.mu.Unlock()
 

@@ -8,14 +8,10 @@ import (
 
 func TestStageNames(t *testing.T) {
 	want := []string{"validate", "batch_wait", "encode", "score", "respond"}
-	names := StageNames()
-	if len(names) != NumStages {
-		t.Fatalf("NumStages %d, names %d", NumStages, len(names))
+	if len(want) != NumStages {
+		t.Fatalf("NumStages %d, want %d names", NumStages, len(want))
 	}
 	for i, w := range want {
-		if names[i] != w {
-			t.Errorf("stage %d = %q, want %q", i, names[i], w)
-		}
 		if Stage(i).String() != w {
 			t.Errorf("Stage(%d).String() = %q, want %q", i, Stage(i).String(), w)
 		}
@@ -26,7 +22,7 @@ func TestStageNames(t *testing.T) {
 }
 
 func TestTracerRecordsStagesAndRings(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracerSeeded(4, 1)
 	for i := 0; i < 10; i++ {
 		a := tr.Start("score")
 		a.Add(StageValidate, time.Duration(i+1)*time.Millisecond)
@@ -71,7 +67,7 @@ func TestTracerRecordsStagesAndRings(t *testing.T) {
 }
 
 func TestTracerStepAndMark(t *testing.T) {
-	tr := NewTracer(2)
+	tr := NewTracerSeeded(2, 1)
 	a := tr.Start("score")
 	time.Sleep(2 * time.Millisecond)
 	a.Step(StageValidate)
@@ -99,8 +95,13 @@ func TestTracerNilSafe(t *testing.T) {
 	a.Add(StageEncode, time.Second)
 	a.Mark()
 	a.SetBatch(3)
+	a.SetModel(2)
+	a.SetOutcome(OutcomeShed, "queue_full")
 	if a.ID() != 0 {
 		t.Error("nil trace has an ID")
+	}
+	if a.Traceparent() != "" || a.TraceID() != "" || a.Context().Valid() {
+		t.Error("nil trace has an identity")
 	}
 	if a.Route() != "" {
 		t.Error("nil trace has a route")
@@ -111,7 +112,7 @@ func TestTracerNilSafe(t *testing.T) {
 }
 
 func TestActiveTraceRoute(t *testing.T) {
-	a := NewTracer(2).Start("score")
+	a := NewTracerSeeded(2, 1).Start("score")
 	if got := a.Route(); got != "score" {
 		t.Errorf("Route() = %q, want %q", got, "score")
 	}
@@ -119,7 +120,7 @@ func TestActiveTraceRoute(t *testing.T) {
 }
 
 func TestTracerSlowestKeepsMaxima(t *testing.T) {
-	tr := NewTracer(2)
+	tr := NewTracerSeeded(2, 1)
 	for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 2 * time.Millisecond, 8 * time.Millisecond} {
 		tr.record(Trace{Total: d})
 	}
@@ -136,7 +137,7 @@ func TestTracerSlowestKeepsMaxima(t *testing.T) {
 // Start → Step/Add → Finish cycle must not allocate in steady state (the
 // recorder pool absorbs the only allocation on first use).
 func TestSpanRecordingZeroAllocs(t *testing.T) {
-	tr := NewTracer(32)
+	tr := NewTracerSeeded(32, 1)
 	avg := testing.AllocsPerRun(1000, func() {
 		a := tr.Start("score")
 		a.Step(StageValidate)
@@ -154,7 +155,7 @@ func TestSpanRecordingZeroAllocs(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracerSeeded(16, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -198,5 +199,44 @@ func TestStageAccum(t *testing.T) {
 	acc.Reset()
 	if enc, dist, n := acc.Totals(); n != 0 || enc != 0 || dist != 0 {
 		t.Errorf("reset left enc=%v dist=%v n=%d", enc, dist, n)
+	}
+}
+
+// TestTraceRecordIdentityAndOutcome pins what the record carries for the
+// views derived from it: the trace ID rendered once, as the substring of
+// the traceparent header, and the annotated outcome, with only a shed's
+// reason surfacing as the /debug/traces shed_reason.
+func TestTraceRecordIdentityAndOutcome(t *testing.T) {
+	tr := NewTracerSeeded(4, 9)
+	a := tr.Start("score")
+	tp := a.Traceparent()
+	if tp != a.Context().Traceparent() || a.Traceparent() != tp {
+		t.Fatalf("traceparent %q, want the context's rendering, stable across calls", tp)
+	}
+	if a.TraceID() != a.Context().TraceIDString() || a.TraceID() != tp[3:35] {
+		t.Fatalf("trace ID %q, want %q", a.TraceID(), a.Context().TraceIDString())
+	}
+	a.SetModel(3)
+	a.SetOutcome(OutcomeShed, "deadline")
+	shed := a.Finish(504)
+	if shed.TraceID != tp[3:35] || shed.Outcome != OutcomeShed || shed.Reason != "deadline" || shed.Model != 3 {
+		t.Fatalf("finished record %+v", shed)
+	}
+
+	b := tr.Start("score") // never rendered: the view renders the ID itself
+	b.SetOutcome(OutcomeError, "boom")
+	errTrace := b.Finish(500)
+	if errTrace.TraceID != "" {
+		t.Fatalf("unrendered record carries trace ID %q", errTrace.TraceID)
+	}
+	recent, _ := tr.TraceViews()
+	if len(recent) != 2 {
+		t.Fatalf("%d recent traces, want 2", len(recent))
+	}
+	if recent[0].TraceID != errTrace.Ctx.TraceIDString() || recent[0].Shed != "" {
+		t.Errorf("error view %+v: want its trace ID and no shed reason", recent[0])
+	}
+	if recent[1].TraceID != shed.TraceID || recent[1].Shed != "deadline" || recent[1].Model != 3 {
+		t.Errorf("shed view %+v: want shed_reason deadline and model 3", recent[1])
 	}
 }

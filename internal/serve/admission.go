@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hdfe/internal/obs"
-	"hdfe/internal/obs/audit"
 )
 
 // admission is the overload gate in front of the batcher: a record-level
@@ -76,14 +75,12 @@ func (a *admission) retryAfterHeader() string {
 }
 
 // shed writes the overload rejection for one request: the Retry-After
-// hint, the shed counter bump, the shed reason on the trace (so the
-// trace always survives tail sampling), and the JSON body carrying the
-// trace ID. status is 429 for budget rejections and 503 for requests
-// arriving while draining.
+// hint, the shed outcome and reason on the record (from which the shed
+// counter and audit event derive, and which keeps the trace through
+// tail sampling), and the JSON body carrying the trace ID. status is 429
+// for budget rejections and 503 for requests arriving while draining.
 func (s *Server) shed(w http.ResponseWriter, at *obs.ActiveTrace, status int, reason ShedReason, msg string) {
-	at.SetShed(reason.String())
-	s.metrics.Shed(reason)
-	s.auditOutcome(at, audit.OutcomeShed, reason.String())
+	at.SetOutcome(obs.OutcomeShed, reason.String())
 	w.Header().Set("Retry-After", s.adm.retryAfterHeader())
-	writeJSON(w, status, errorResponse{Error: msg, TraceID: traceIDOf(at)})
+	writeJSON(w, status, errorResponse{Error: msg, TraceID: at.TraceID()})
 }

@@ -50,52 +50,6 @@ func explainTopK(contribs []core.FeatureContribution, k int) []audit.Contributio
 	return out
 }
 
-// auditScored emits the canonical wide event for one scored record:
-// identity, model attribution, the exact inputs and their digest, the
-// score down to its bits, stage timings, and any explain contributions
-// the caller requested. The nil check keeps a server without an audit
-// log from paying the event construction.
-func (s *Server) auditScored(at *obs.ActiveTrace, st *modelState, row []float64, resp scoreResponse, stages audit.Stages, batch int) {
-	if s.audit == nil {
-		return
-	}
-	// Copy after the guard: taking &stages directly would make the
-	// parameter escape and cost the disabled path one heap allocation.
-	stg := stages
-	info := st.model.Info()
-	s.audit.Enqueue(audit.Event{
-		Route:        at.Route(),
-		Outcome:      audit.OutcomeScored,
-		RequestID:    resp.RequestID,
-		TraceID:      traceIDOf(at),
-		ModelVersion: info.Version,
-		ModelSHA256:  info.SHA256,
-		Inputs:       audit.Inputs(row),
-		InputsSHA256: audit.InputsDigest(row),
-		Score:        resp.Score,
-		ScoreBits:    math.Float64bits(resp.Score),
-		Prediction:   resp.Prediction,
-		Batch:        batch,
-		Stages:       &stg,
-		Explain:      resp.Explain,
-	})
-}
-
-// auditOutcome emits a non-scored decision (shed or error) for a traced
-// scoring request. Untraced callers (nil at) are audited elsewhere.
-func (s *Server) auditOutcome(at *obs.ActiveTrace, o audit.Outcome, reason string) {
-	if s.audit == nil || at == nil {
-		return
-	}
-	s.audit.Enqueue(audit.Event{
-		Route:     at.Route(),
-		Outcome:   o,
-		Reason:    reason,
-		RequestID: requestID(at.ID()),
-		TraceID:   traceIDOf(at),
-	})
-}
-
 // auditFeedback records one ground-truth label joining the trail: the
 // request ID it claims, the label, and the join outcome.
 func (s *Server) auditFeedback(reqID string, label int, status string) {

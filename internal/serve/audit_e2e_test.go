@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/obs"
 	"hdfe/internal/obs/audit"
 	"hdfe/internal/registry"
 	"hdfe/internal/synth"
@@ -394,21 +397,29 @@ func TestAuditChaosRaceE2E(t *testing.T) {
 
 // TestAuditHelpersZeroAllocWhenDisabled guards the scoring hot path: a
 // server without -audit-dir must pay exactly one nil check per would-be
-// event — no event construction, no input copies, no digests.
+// event — no event construction, no input copies, no digests — where the
+// per-request views derive from the finished record, for every outcome.
 func TestAuditHelpersZeroAllocWhenDisabled(t *testing.T) {
 	s := New(testDeployment(t, 64), Config{})
 	defer s.Close()
-	st := s.activeState()
-	row := synth.PimaM(7).X[0]
-	resp := scoreResponse{RequestID: "1", Score: 0.5}
-	stages := audit.Stages{}
+	sc := scored{st: s.activeState(), row: synth.PimaM(7).X[0], resp: scoreResponse{RequestID: "1", Score: 0.5}}
+	id := strings.Repeat("ab", 16)
+	traces := []obs.Trace{
+		{Route: "score", Status: 200, Outcome: obs.OutcomeScored, TraceID: id, Batch: 1, Model: 1, Total: time.Millisecond},
+		{Route: "score", Status: 429, Outcome: obs.OutcomeShed, Reason: ShedQueueFull.String(), TraceID: id},
+		{Route: "score", Status: 504, Outcome: obs.OutcomeShed, Reason: ShedDeadline.String(), TraceID: id},
+		{Route: "score", Status: 400, Outcome: obs.OutcomeInvalid, Reason: "invalid record", TraceID: id},
+		{Route: "score", Status: 500, Outcome: obs.OutcomeError, Reason: "x", TraceID: id},
+	}
+	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.auditScored(nil, st, row, resp, stages, 1)
-		s.auditOutcome(nil, audit.OutcomeShed, "x")
+		for i := range traces {
+			s.observe(ctx, traces[i], &sc)
+		}
 		s.auditFeedback("1", 1, "matched")
 		s.auditSwap(registry.Info{}, 0)
 	}); allocs != 0 {
-		t.Fatalf("audit helpers allocate %.1f per call with auditing disabled, want 0", allocs)
+		t.Fatalf("per-request views allocate %.1f per run with auditing disabled, want 0", allocs)
 	}
 }
 

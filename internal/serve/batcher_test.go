@@ -51,7 +51,7 @@ func TestBatcherScoresMatchDirect(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			row := d.X[i%len(d.X)]
-			got, err := b.Submit(context.Background(), row)
+			got, _, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{})
 			if err != nil {
 				errs <- err
 				return
@@ -83,7 +83,7 @@ func TestBatcherRespectsMaxBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), row); err != nil {
+			if _, _, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -108,8 +108,8 @@ func TestBatcherSubmitAfterCloseFails(t *testing.T) {
 	b := testBatcher(t, dep, 8, nil)
 	b.Close()
 	b.Close() // idempotent
-	if _, err := b.Submit(context.Background(), synth.PimaM(7).X[0]); err != ErrClosed {
-		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
+	if _, _, _, err := b.submitTimed(context.Background(), synth.PimaM(7).X[0], obs.TraceContext{}); err != ErrClosed {
+		t.Fatalf("submit after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestBatcherSubmitHonoursContext(t *testing.T) {
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(ctx, synth.PimaM(7).X[0]); err != context.Canceled {
-		t.Fatalf("Submit with cancelled context: %v, want context.Canceled", err)
+	if _, _, _, err := b.submitTimed(ctx, synth.PimaM(7).X[0], obs.TraceContext{}); err != context.Canceled {
+		t.Fatalf("submit with cancelled context: %v, want context.Canceled", err)
 	}
 }
 
@@ -216,7 +216,7 @@ func closeDrainsQueuedOnce(t *testing.T, dep *core.Deployment, row []float64, wa
 	errs := make(chan error, queued)
 	submit := func() {
 		defer wg.Done()
-		got, err := b.Submit(context.Background(), row)
+		got, _, _, err := b.submitTimed(context.Background(), row, obs.TraceContext{})
 		if err != nil {
 			errs <- err
 			return
@@ -269,7 +269,7 @@ func closeDrainsQueuedOnce(t *testing.T, dep *core.Deployment, row []float64, wa
 // together as the next batch, up to maxBatch. It asserts on observed
 // ordering only. A chaos stall holds the loop on a lone first request;
 // n more requests are submitted; once all n are seen queued while the
-// first Submit has not yet returned, the next batch must hold
+// first submit has not yet returned, the next batch must hold
 // min(n, maxBatch) of them.
 func TestBatcherGroupCommit(t *testing.T) {
 	const maxBatch = 8
@@ -312,7 +312,7 @@ func TestBatcherGroupCommit(t *testing.T) {
 
 // groupCommitOnce runs one group-commit attempt and returns the first
 // request's timings and the other n requests' timings. ok is false when
-// the first Submit returned before all n requests were seen queued.
+// the first submit returned before all n requests were seen queued.
 func groupCommitOnce(t *testing.T, dep *core.Deployment, row []float64, want float64, n, maxBatch int, stall time.Duration) (first BatchTimings, rest []BatchTimings, ok bool) {
 	t.Helper()
 	inj := chaos.New(1, chaos.Fault{Point: chaos.PointBatch, P: 1, Delay: stall})
@@ -401,7 +401,7 @@ func TestServerDefaultScoresLoneRequestsAlone(t *testing.T) {
 	}
 }
 
-// BenchmarkBatcherLoneSubmit times one Submit with no concurrent load
+// BenchmarkBatcherLoneSubmit times one submit with no concurrent load
 // through a batcher built from the default Config: the latency a lone
 // request pays for the microbatcher.
 func BenchmarkBatcherLoneSubmit(b *testing.B) {
@@ -413,7 +413,7 @@ func BenchmarkBatcherLoneSubmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bt.Submit(context.Background(), row); err != nil {
+		if _, _, _, err := bt.submitTimed(context.Background(), row, obs.TraceContext{}); err != nil {
 			b.Fatal(err)
 		}
 	}

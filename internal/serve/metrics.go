@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,19 +55,14 @@ type Metrics struct {
 
 	shed [numShedReasons]atomic.Uint64 // overload-protection rejections by reason
 
-	latency obs.Histogram // end-to-end request latency
+	latency obs.Histogram // end-to-end latency of scored requests
 
-	// latencyEx pins the most recent trace per latency bucket, exposed
-	// as OpenMetrics exemplars so a dashboard histogram links straight
-	// to a concrete trace.
-	latencyEx [obs.NumLatencyBuckets + 1]atomic.Pointer[latencyExemplar]
-}
-
-// latencyExemplar is one bucket's most recent (traceID, latency) pair.
-type latencyExemplar struct {
-	traceID string
-	d       time.Duration
-	ts      time.Time
+	// latencyEx pins the most recent trace per exposed latency bucket,
+	// exposed as OpenMetrics exemplars so a dashboard histogram links
+	// straight to a concrete trace. Values under exMu, so pinning one
+	// allocates nothing.
+	exMu      sync.Mutex
+	latencyEx [obs.NumLatencyBuckets + 1]obs.Exemplar
 }
 
 // NewMetrics returns a zeroed metrics set anchored at the current time.
@@ -106,6 +102,26 @@ func (m *Metrics) Shed(r ShedReason) { m.shed[r].Add(1) }
 // ShedCount reads one reason's counter.
 func (m *Metrics) ShedCount(r ShedReason) uint64 { return m.shed[r].Load() }
 
+// countOutcome bumps the counter for one finished request's outcome.
+// Scored and unclassified requests count nowhere here. A deadline shed
+// counts as a timeout: the batch loop counts the abandoned record itself.
+func (m *Metrics) countOutcome(o obs.Outcome, reason string) {
+	switch {
+	case o == obs.OutcomeInvalid:
+		m.validationErrs.Add(1)
+	case o == obs.OutcomeError:
+		m.errors.Add(1)
+	case o == obs.OutcomeShed && reason == ShedDeadline.String():
+		m.timeouts.Add(1)
+	case o == obs.OutcomeShed:
+		for r, name := range shedReasonNames {
+			if name == reason {
+				m.shed[r].Add(1)
+			}
+		}
+	}
+}
+
 // ObserveBatch records one microbatcher batch of n records.
 func (m *Metrics) ObserveBatch(n int) {
 	m.batches.Add(1)
@@ -113,25 +129,15 @@ func (m *Metrics) ObserveBatch(n int) {
 	m.batchHist[batchBucket(n)].Add(1)
 }
 
-// ObserveLatency records one end-to-end request latency.
-func (m *Metrics) ObserveLatency(d time.Duration) { m.ObserveLatencyTrace(d, "") }
-
-// ObserveLatencyTrace is ObserveLatency also pinning traceID as the
-// bucket's exemplar (skipped when empty).
-func (m *Metrics) ObserveLatencyTrace(d time.Duration, traceID string) {
-	i := m.latency.Observe(d)
-	if traceID != "" {
-		m.latencyEx[i].Store(&latencyExemplar{traceID: traceID, d: d, ts: time.Now()})
-	}
-}
-
 // latencyExemplars materializes the per-bucket exemplars in the shape
 // obs.PromWriter.HistogramExemplars renders (nil entries skip).
 func (m *Metrics) latencyExemplars() []*obs.Exemplar {
 	out := make([]*obs.Exemplar, len(m.latencyEx))
-	for i := range m.latencyEx {
-		if e := m.latencyEx[i].Load(); e != nil {
-			out[i] = &obs.Exemplar{TraceID: e.traceID, Value: e.d.Seconds(), Ts: e.ts}
+	m.exMu.Lock()
+	defer m.exMu.Unlock()
+	for i, e := range m.latencyEx {
+		if e.TraceID != "" {
+			out[i] = &e
 		}
 	}
 	return out

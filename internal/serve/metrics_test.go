@@ -56,20 +56,21 @@ func TestLatencyQuantiles(t *testing.T) {
 	if m.latency.Snapshot().Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile not 0")
 	}
-	// 90 fast requests, 10 slow: p50 lands in the fast bucket, p99 in the
-	// slow one.
+	// 90 fast requests, 10 slow: each quantile reads the upper bound of
+	// its sample's sub-bucket — 40µs in (37.5, 43.75]µs, 30ms in
+	// (28.8, 32]ms — where the doubling ladder alone read 50µs and 51.2ms.
 	for i := 0; i < 90; i++ {
-		m.ObserveLatency(40 * time.Microsecond)
+		m.latency.Observe(40 * time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		m.ObserveLatency(30 * time.Millisecond)
+		m.latency.Observe(30 * time.Millisecond)
 	}
 	p50, p99 := m.latency.Snapshot().Quantile(0.50), m.latency.Snapshot().Quantile(0.99)
-	if p50 > 100*time.Microsecond {
-		t.Errorf("p50 %v, want the fast bucket", p50)
+	if p50 != 43750*time.Nanosecond {
+		t.Errorf("p50 %v, want 43.75µs", p50)
 	}
-	if p99 < 10*time.Millisecond {
-		t.Errorf("p99 %v, want the slow bucket", p99)
+	if p99 != 32*time.Millisecond {
+		t.Errorf("p99 %v, want 32ms", p99)
 	}
 	s := m.Snapshot()
 	if s.LatencyP50Micros >= s.LatencyP99Micros {
@@ -77,7 +78,7 @@ func TestLatencyQuantiles(t *testing.T) {
 	}
 	// Overflow bucket: beyond the last bound.
 	m2 := NewMetrics()
-	m2.ObserveLatency(time.Hour)
+	m2.latency.Observe(time.Hour)
 	if q := m2.latency.Snapshot().Quantile(0.5); q < obs.LatencyBound(obs.NumLatencyBuckets-1) {
 		t.Errorf("overflow quantile %v below the last bound", q)
 	}
@@ -90,16 +91,16 @@ func TestLatencyQuantiles(t *testing.T) {
 func TestQuantileEmptyTailOverflow(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 9; i++ {
-		m.ObserveLatency(40 * time.Microsecond)
+		m.latency.Observe(40 * time.Microsecond)
 	}
-	m.ObserveLatency(time.Hour) // overflow: beyond obs.LatencyBound(15)
+	m.latency.Observe(time.Hour) // overflow: beyond obs.LatencyBound(15)
 	if q := m.latency.Snapshot().Quantile(0.99); q < obs.LatencyBound(obs.NumLatencyBuckets-1) {
 		t.Errorf("p99 = %v, below the overflow sample's lower bound %v",
 			q, obs.LatencyBound(obs.NumLatencyBuckets-1))
 	}
-	// p50 still sits in the fast bucket.
-	if q := m.latency.Snapshot().Quantile(0.50); q > obs.LatencyBound(0) {
-		t.Errorf("p50 = %v, want the first bucket", q)
+	// p50 still sits in the fast sample's sub-bucket.
+	if q := m.latency.Snapshot().Quantile(0.50); q != 43750*time.Nanosecond {
+		t.Errorf("p50 = %v, want 43.75µs", q)
 	}
 	// q=1.0 is the maximum: always at least the overflow bound.
 	if q := m.latency.Snapshot().Quantile(1.0); q < obs.LatencyBound(obs.NumLatencyBuckets-1) {
@@ -113,19 +114,39 @@ func TestQuantileEmptyTailOverflow(t *testing.T) {
 func TestLatencyBucketBoundaries(t *testing.T) {
 	for i := 0; i < obs.NumLatencyBuckets; i++ {
 		m := NewMetrics()
-		m.ObserveLatency(obs.LatencyBound(i))
+		m.latency.Observe(obs.LatencyBound(i))
 		if got := m.latency.Snapshot().Buckets[i]; got != 1 {
 			t.Errorf("d == obs.LatencyBound(%d): bucket %d count %d, want 1", i, i, got)
 		}
-		m.ObserveLatency(obs.LatencyBound(i) + time.Nanosecond)
+		m.latency.Observe(obs.LatencyBound(i) + time.Nanosecond)
 		if got := m.latency.Snapshot().Buckets[i+1]; got != 1 {
 			t.Errorf("d == obs.LatencyBound(%d)+1ns: bucket %d count %d, want 1", i, i+1, got)
 		}
 	}
+	// Quantiles resolve sub-buckets of each exposed bucket: near the soak
+	// budget, bucket (25.6, 51.2]ms reads in 3.2ms steps. A sample on a
+	// sub-bucket bound reads that bound; one nanosecond more reads the
+	// next one, at most 12.5% higher.
+	for _, c := range []struct{ d, want time.Duration }{
+		{6250 * time.Nanosecond, 6250 * time.Nanosecond},
+		{6251 * time.Nanosecond, 12500 * time.Nanosecond},
+		{obs.LatencyBound(0) + 1, 56250 * time.Nanosecond},
+		{25600*time.Microsecond + 1, 28800 * time.Microsecond},
+		{28800 * time.Microsecond, 28800 * time.Microsecond},
+		{32 * time.Millisecond, 32 * time.Millisecond},
+		{32*time.Millisecond + 1, 35200 * time.Microsecond},
+		{obs.LatencyBound(obs.NumLatencyBuckets - 1), obs.LatencyBound(obs.NumLatencyBuckets - 1)},
+	} {
+		m := NewMetrics()
+		m.latency.Observe(c.d)
+		if got := m.latency.Snapshot().Quantile(1); got != c.want {
+			t.Errorf("sample %v reads %v, want %v", c.d, got, c.want)
+		}
+	}
 	// Sum/count accounting for the Prometheus _sum line.
 	m := NewMetrics()
-	m.ObserveLatency(100 * time.Microsecond)
-	m.ObserveLatency(300 * time.Microsecond)
+	m.latency.Observe(100 * time.Microsecond)
+	m.latency.Observe(300 * time.Microsecond)
 	if got := m.latency.Snapshot().Sum; got != 400*time.Microsecond {
 		t.Errorf("latency sum %v, want 400µs", got)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -30,11 +31,6 @@ type profIndex struct {
 	} `json:"profiling"`
 	Captures  []prof.CaptureMeta   `json:"captures"`
 	Watchdogs []prof.WatchdogState `json:"watchdogs"`
-	TopCPU    struct {
-		CaptureID uint64            `json:"capture_id"`
-		Top       []prof.TopEntry   `json:"top"`
-		Delta     []prof.DeltaEntry `json:"delta_vs_baseline"`
-	} `json:"top_cpu"`
 }
 
 func getProfIndex(t *testing.T, client *http.Client, base string) profIndex {
@@ -54,21 +50,63 @@ func getProfIndex(t *testing.T, client *http.Client, base string) profIndex {
 	return idx
 }
 
-// hotFrame reports whether a top table names a scoring-pipeline frame.
-func hotFrame(top []prof.TopEntry) bool {
-	for _, e := range top {
-		if strings.Contains(e.Func, "internal/encode") || strings.Contains(e.Func, "internal/hv") {
-			return true
+// gunzip decompresses a downloaded capture, failing the test if it is
+// not gzip.
+func gunzip(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("capture is not gzipped: %v", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("capture does not gunzip: %v", err)
+	}
+	return raw
+}
+
+// hotFrame reports whether a gzipped pprof blob names a scoring-pipeline
+// frame: function names sit as plain strings in the gunzipped profile,
+// the same names `go tool pprof -top` prints.
+func hotFrame(t *testing.T, blob []byte) bool {
+	raw := gunzip(t, blob)
+	return bytes.Contains(raw, []byte("hdfe/internal/encode")) || bytes.Contains(raw, []byte("hdfe/internal/hv"))
+}
+
+// newestCapture returns the newest capture of kind in a newest-first
+// capture list.
+func newestCapture(caps []prof.CaptureMeta, kind string) (prof.CaptureMeta, bool) {
+	for _, c := range caps {
+		if c.Kind == kind {
+			return c, true
 		}
 	}
-	return false
+	return prof.CaptureMeta{}, false
+}
+
+// download fetches one /debug/prof/{id} capture.
+func download(t *testing.T, client *http.Client, base string, id uint64) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := client.Get(fmt.Sprintf("%s/debug/prof/%d", base, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("download %d: status %d", id, resp.StatusCode)
+	}
+	return resp, blob
 }
 
 // TestLoadProfilerOnBitIdentical is the tentpole acceptance test: 64
 // concurrent batch-scoring clients with the profiler capturing at an
 // aggressive cadence. Every score must be bit-identical (Float64bits) to
 // a direct Deployment.Score call, and /debug/prof must end up serving a
-// downloadable CPU profile whose top table names an encode/hv frame.
+// downloadable CPU profile that names an encode/hv frame.
 func TestLoadProfilerOnBitIdentical(t *testing.T) {
 	const clients = 64
 	dep := testDeployment(t, 1024)
@@ -150,10 +188,10 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 		}(c)
 	}
 
-	// While the load runs, wait for a CPU capture whose top table names a
-	// scoring-pipeline frame, then download it.
+	// While the load runs, wait for a CPU capture that names a
+	// scoring-pipeline frame, downloading each new newest CPU capture.
 	deadline := time.Now().Add(60 * time.Second)
-	var captureID uint64
+	var captureID, checked uint64
 	for time.Now().Before(deadline) && captureID == 0 {
 		select {
 		case err := <-errc:
@@ -163,11 +201,14 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 		default:
 		}
 		idx := getProfIndex(t, client, ts.URL)
-		if idx.TopCPU.CaptureID != 0 && hotFrame(idx.TopCPU.Top) {
-			captureID = idx.TopCPU.CaptureID
-		} else {
-			time.Sleep(50 * time.Millisecond)
+		if c, ok := newestCapture(idx.Captures, prof.KindCPU); ok && c.ID > checked {
+			checked = c.ID
+			if _, blob := download(t, client, ts.URL, c.ID); hotFrame(t, blob) {
+				captureID = c.ID
+				continue
+			}
 		}
+		time.Sleep(50 * time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
@@ -183,28 +224,16 @@ func TestLoadProfilerOnBitIdentical(t *testing.T) {
 	}
 	t.Logf("bit-identity held across %d batch requests (%d records)", requests.Load(), requests.Load()*batchRows)
 
-	// The capture downloads as the gzipped pprof blob, parseable, with the
-	// hot frame inside.
-	resp, err := client.Get(fmt.Sprintf("%s/debug/prof/%d", ts.URL, captureID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("download status %d", resp.StatusCode)
-	}
+	// The capture downloads as the gzipped pprof blob with the hot frame
+	// inside.
+	resp, blob := download(t, client, ts.URL, captureID)
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Errorf("download Content-Type %q", ct)
 	}
 	if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
 		t.Fatal("download is not a gzipped pprof blob")
 	}
-	pp, err := prof.Parse(blob)
-	if err != nil {
-		t.Fatalf("downloaded blob unparseable: %v", err)
-	}
-	if !hotFrame(pp.Top("cpu", 50)) {
+	if !hotFrame(t, blob) {
 		t.Fatal("downloaded profile lost the encode/hv frame")
 	}
 
@@ -260,7 +289,7 @@ func TestPprofProfileHonorsContext(t *testing.T) {
 	if s.Profiler().Failures() == 0 {
 		t.Error("cancelled profile download not counted as a capture failure")
 	}
-	if _, ok := s.Profiler().Ring().Latest(prof.KindCPU); ok {
+	if _, ok := newestCapture(s.Profiler().Ring().List(), prof.KindCPU); ok {
 		t.Error("cancelled capture must not be ring-kept")
 	}
 }
@@ -290,12 +319,12 @@ func TestPprofProfileDownload(t *testing.T) {
 	if len(blob) < 2 || blob[0] != 0x1f || blob[1] != 0x8b {
 		t.Fatal("profile download is not gzipped pprof output")
 	}
-	if _, err := prof.Parse(blob); err != nil {
-		t.Fatalf("profile download unparseable: %v", err)
+	if len(gunzip(t, blob)) == 0 {
+		t.Fatal("profile download gunzips to nothing")
 	}
-	c, ok := s.Profiler().Ring().Latest(prof.KindCPU)
-	if !ok || c.Meta.Trigger != prof.TriggerHTTP {
-		t.Fatalf("http-triggered capture not in ring: %+v ok=%v", c.Meta, ok)
+	c, ok := newestCapture(s.Profiler().Ring().List(), prof.KindCPU)
+	if !ok || c.Trigger != prof.TriggerHTTP {
+		t.Fatalf("http-triggered capture not in ring: %+v ok=%v", c, ok)
 	}
 
 	// Garbage seconds is a 400, not a hung capture.

@@ -12,6 +12,7 @@ import (
 
 	"hdfe/internal/core"
 	"hdfe/internal/obs"
+	"hdfe/internal/obs/audit"
 	"hdfe/internal/synth"
 )
 
@@ -100,10 +101,11 @@ func checkSchemaGolden(t *testing.T, body []byte, goldenFile string) {
 	}
 }
 
-// TestResponseSchemaGoldens pins the JSON shape of the two richest
-// read-side endpoints, with every optional block populated: a scored
-// record and a joined feedback label fill the drift/quality state, and
-// an installed shadow makes the omitempty shadow sections appear.
+// TestResponseSchemaGoldens pins the JSON shape of the richest read-side
+// endpoints, with every optional block populated: a scored record and a
+// joined feedback label fill the drift/quality state, and an installed
+// shadow makes the omitempty shadow sections appear. It also pins the
+// audit trail's wide event per outcome.
 func TestResponseSchemaGoldens(t *testing.T) {
 	d := synth.PimaM(7)
 	dep := testDeployment(t, 128)
@@ -144,7 +146,7 @@ func TestResponseSchemaGoldens(t *testing.T) {
 	at := s.tracer.StartWith("score", obs.TraceContext{})
 	at.SetBatch(1)
 	at.SetModel(1)
-	at.SetShed(ShedQueueFull.String())
+	at.SetOutcome(obs.OutcomeShed, ShedQueueFull.String())
 	at.Finish(429)
 
 	for _, tc := range []struct {
@@ -167,4 +169,29 @@ func TestResponseSchemaGoldens(t *testing.T) {
 		res.Body.Close()
 		checkSchemaGolden(t, raw, tc.golden)
 	}
+
+	// The audit wide event's field set, per outcome: a scored record with
+	// explain contributions, an error, and a shed (a draining batcher).
+	as, ats, auditDir, _ := auditServer(t, Config{}, audit.Config{})
+	postJSON(t, ats.Client(), ats.URL+"/v1/score?explain=2", scoreRequest{Features: floats(d.X[0]...)})
+	postJSON(t, ats.Client(), ats.URL+"/v1/score", scoreRequest{Features: floats(1, 2)})
+	as.batcher.Close()
+	postJSON(t, ats.Client(), ats.URL+"/v1/score", scoreRequest{Features: floats(d.X[1]...)})
+	ats.Close()
+	as.Close()
+	events := map[string]audit.Event{}
+	if _, err := audit.Walk(auditDir, func(ev audit.Event) error {
+		events[ev.Outcome.String()] = ev
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 3 {
+		t.Fatalf("audited outcomes %v, want scored, error and shed", events)
+	}
+	raw, err := json.Marshal(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSchemaGolden(t, raw, "audit_event_schema.golden")
 }

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hdfe/internal/chaos"
@@ -29,6 +31,10 @@ import (
 // context.Context into the batcher so a record past its budget is
 // abandoned before encode/score work is spent on it.
 const DeadlineHeader = "X-Request-Deadline-Ms"
+
+// slowRefresh is how many tail-sampling decisions reuse one reading of
+// the live p99 slow cutoff.
+const slowRefresh = 64
 
 // Config tunes the scoring service. The zero value serves with the
 // defaults noted on each field.
@@ -62,7 +68,7 @@ type Config struct {
 	MaxInFlight int
 	// QueueDepth is the batcher queue capacity. Default
 	// max(4*MaxBatch, MaxInFlight), so the admission gate — not the
-	// queue — is what bounds backlog and Submit never blocks on enqueue.
+	// queue — is what bounds backlog and a submit never blocks on enqueue.
 	QueueDepth int
 	// RetryAfter is the hint sent in the Retry-After header of 429/503
 	// shed responses (default 1s; rendered in whole seconds, min 1).
@@ -277,8 +283,16 @@ func New(sc core.Scorer, cfg Config) *Server {
 	}
 	// Slow-trace cutoff for tail sampling: the live p99 latency — any
 	// trace at or past it is always exported, whatever the head fraction.
-	s.sampler = export.NewSampler(cfg.TraceSample, cfg.TraceSeed,
-		func() time.Duration { return m.latency.Snapshot().Quantile(0.99) })
+	// Reading it walks every sub-bucket, so it is re-read once per
+	// slowRefresh sampling decisions, not per request.
+	var slowCut atomic.Int64
+	var decided atomic.Uint64
+	s.sampler = export.NewSampler(cfg.TraceSample, cfg.TraceSeed, func() time.Duration {
+		if decided.Add(1)%slowRefresh == 1 {
+			slowCut.Store(int64(m.latency.Snapshot().Quantile(0.99)))
+		}
+		return time.Duration(slowCut.Load())
+	})
 	// Adopt and promote the boot model before the batcher starts: the
 	// batch loop assumes the active slot is never empty.
 	s.reg.Promote(s.adopt(sc, cfg.ModelName, cfg.ModelPath, cfg.ModelSHA256))
@@ -397,19 +411,17 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// traced wraps a scoring handler in the pipeline tracer and the request
-// logger: every request gets a trace ID, a per-stage span record folded
-// into the stage histograms and trace rings, and one structured log line
-// carrying the version of the model that scored it.
+// traced wraps a scoring handler in the pipeline tracer: every request
+// gets one record (an obs.Trace) that the handler annotates with stage
+// marks, batch size, model version, outcome and reason, and from which
+// observe derives every per-request view once the response is written.
 //
 // W3C trace context flows through here: a valid inbound traceparent is
 // adopted (same trace ID, upstream span as parent), anything malformed
 // falls back to a freshly generated identity, and the resulting
 // traceparent is echoed on every response — set before the handler
-// runs, so 429/504 shed paths carry it too. After the response, the
-// request outcome feeds the SLO engine, and the tail sampler decides
-// whether the trace ships to the OTLP exporter.
-func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request, *obs.ActiveTrace)) http.HandlerFunc {
+// runs, so 429/504 shed paths carry it too.
+func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request, *obs.ActiveTrace) scored) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Fault seam: injected request-entry latency (a slow proxy, an
 		// accept-queue spike) lands before the trace clock starts, like
@@ -420,11 +432,10 @@ func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request,
 			parent.State = r.Header.Get("tracestate")
 		}
 		at := s.tracer.StartWith(route, parent)
-		tc := at.Context()
 		hdr := w.Header()
-		hdr.Set("traceparent", tc.Traceparent())
-		if tc.State != "" {
-			hdr.Set("tracestate", tc.State)
+		hdr.Set("traceparent", at.Traceparent())
+		if st := at.Context().State; st != "" {
+			hdr.Set("tracestate", st)
 		}
 		// Echo a client-supplied request ID (gateways correlate on it),
 		// otherwise mint one from the trace sequence.
@@ -434,33 +445,99 @@ func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request,
 		}
 		hdr.Set("X-Request-Id", reqID)
 		sw := statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(&sw, r, at)
-		t := at.Finish(sw.status)
-		s.slo.Observe(t.Status, t.Total)
-		if s.exporter != nil {
-			if keep, _ := s.sampler.Keep(t); keep {
-				for _, sp := range export.FromTrace(t) {
-					s.exporter.Enqueue(sp)
+		sc := h(&sw, r, at)
+		s.observe(r.Context(), at.Finish(sw.status), &sc)
+	}
+}
+
+// scored is a successful scoring handler's hand-off to the audit view:
+// the model state that answered and, per record, the validated inputs
+// and the answer the client got.
+type scored struct {
+	st    *modelState
+	row   []float64     // /v1/score: the one record's inputs
+	resp  scoreResponse // /v1/score: its answer
+	rows  [][]float64   // /v1/score/batch: every record's inputs
+	batch batchScoreResponse
+}
+
+// observe derives every per-request view from the finished record t, in
+// one place: the SLO engine, the outcome counters, the request-latency
+// histogram and its exemplar, the audit events, tail-sampled span export,
+// and the request log line. sc adds what a scored request's audit events
+// carry beyond the record: the inputs and the answers. Audit events are
+// enqueued here, inside ServeHTTP, so Serve's drain order covers them.
+func (s *Server) observe(ctx context.Context, t obs.Trace, sc *scored) {
+	s.slo.Observe(t.Status, t.Total)
+	m := s.metrics
+	m.countOutcome(t.Outcome, t.Reason)
+	n := len(sc.rows) // records scored, if any: a batch's, or /v1/score's one
+	if sc.rows == nil {
+		n = 1
+	}
+	if t.Outcome == obs.OutcomeScored {
+		m.recordsScored.Add(uint64(n))
+		i := m.latency.Observe(t.Total)
+		m.exMu.Lock()
+		m.latencyEx[i] = obs.Exemplar{TraceID: t.TraceID, Value: t.Total.Seconds(), Ts: t.Start.Add(t.Total)}
+		m.exMu.Unlock()
+	}
+	if s.audit != nil && t.Outcome != obs.OutcomeNone {
+		ev := audit.Event{Route: t.Route, Outcome: audit.OutcomeError, Reason: t.Reason, TraceID: t.TraceID}
+		switch t.Outcome {
+		case obs.OutcomeScored:
+			// One event per record, each an independent clinical decision
+			// with its own feedback handle; stage times are the request's,
+			// amortized per record on the batch route.
+			d := time.Duration(n)
+			ev.Outcome, ev.ModelVersion, ev.ModelSHA256, ev.Batch = audit.OutcomeScored, t.Model, sc.st.model.Info().SHA256, t.Batch
+			ev.Stages = &audit.Stages{
+				ValidateUs:  (t.Stages[obs.StageValidate] / d).Microseconds(),
+				BatchWaitUs: (t.Stages[obs.StageBatchWait] / d).Microseconds(),
+				EncodeUs:    (t.Stages[obs.StageEncode] / d).Microseconds(),
+				ScoreUs:     (t.Stages[obs.StageScore] / d).Microseconds(),
+			}
+			for i := 0; i < n; i++ {
+				row, resp := sc.row, sc.resp
+				if sc.rows != nil {
+					b := &sc.batch
+					row, resp = sc.rows[i], scoreResponse{RequestID: b.RequestIDs[i], Score: b.Scores[i], Prediction: b.Predictions[i]}
 				}
+				ev.RequestID, ev.Inputs, ev.InputsSHA256 = resp.RequestID, audit.Inputs(row), audit.InputsDigest(row)
+				ev.Score, ev.ScoreBits, ev.Prediction, ev.Explain = resp.Score, math.Float64bits(resp.Score), resp.Prediction, resp.Explain
+				s.audit.Enqueue(ev)
+			}
+		case obs.OutcomeShed:
+			ev.Outcome = audit.OutcomeShed
+			fallthrough
+		default:
+			ev.RequestID = requestID(t.ID)
+			s.audit.Enqueue(ev)
+		}
+	}
+	if s.exporter != nil {
+		if keep, _ := s.sampler.Keep(t); keep {
+			for _, sp := range export.FromTrace(t) {
+				s.exporter.Enqueue(sp)
 			}
 		}
-		lvl := slog.LevelInfo
-		switch {
-		case t.Status >= 500:
-			lvl = slog.LevelError
-		case t.Status >= 400:
-			lvl = slog.LevelWarn
-		}
-		s.logger.LogAttrs(r.Context(), lvl, "request",
-			slog.Uint64("trace_id", t.ID),
-			slog.String("w3c_trace_id", t.Ctx.TraceIDString()),
-			slog.String("route", route),
-			slog.Int("status", t.Status),
-			slog.Duration("latency", t.Total),
-			slog.Int("batch", t.Batch),
-			slog.Uint64("model_version", t.Model),
-		)
 	}
+	lvl := slog.LevelInfo
+	switch {
+	case t.Status >= 500:
+		lvl = slog.LevelError
+	case t.Status >= 400:
+		lvl = slog.LevelWarn
+	}
+	s.logger.LogAttrs(ctx, lvl, "request",
+		slog.Uint64("trace_id", t.ID),
+		slog.String("w3c_trace_id", t.TraceID),
+		slog.String("route", t.Route),
+		slog.Int("status", t.Status),
+		slog.Duration("latency", t.Total),
+		slog.Int("batch", t.Batch),
+		slog.Uint64("model_version", t.Model),
+	)
 }
 
 // scoreRequest is the body of POST /v1/score. Features are positional,
@@ -514,15 +591,6 @@ type errorResponse struct {
 	Record  int          `json:"record,omitempty"`
 }
 
-// traceIDOf extracts the hex trace ID for error bodies; empty for
-// untraced routes (nil at).
-func traceIDOf(at *obs.ActiveTrace) string {
-	if tc := at.Context(); tc.Valid() {
-		return tc.TraceIDString()
-	}
-	return ""
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -530,14 +598,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
 }
 
+// writeError answers with an error body and annotates the record with
+// the outcome: a validation error when the 400 carries per-field
+// details, any other error otherwise. Untraced routes (nil at) have no
+// record to derive from, so their outcome is counted here.
 func (s *Server) writeError(w http.ResponseWriter, at *obs.ActiveTrace, status int, msg string, details []FieldError, record int) {
+	o := obs.OutcomeError
 	if status == http.StatusBadRequest && details != nil {
-		s.metrics.validationErrs.Add(1)
-	} else {
-		s.metrics.errors.Add(1)
+		o = obs.OutcomeInvalid
 	}
-	s.auditOutcome(at, audit.OutcomeError, msg)
-	writeJSON(w, status, errorResponse{Error: msg, TraceID: traceIDOf(at), Details: details, Record: record})
+	if at == nil {
+		s.metrics.countOutcome(o, msg)
+	}
+	at.SetOutcome(o, msg)
+	writeJSON(w, status, errorResponse{Error: msg, TraceID: at.TraceID(), Details: details, Record: record})
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace, v any) bool {
@@ -565,11 +639,10 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 // is active when the batch forms (the schemas are identical — checkSchema
 // gates every load). All drift/quality attribution goes to the model
 // that actually scored the record.
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) {
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) (sc scored) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	start := time.Now()
 	s.metrics.scoreRequests.Add(1)
 	budget, err := s.requestBudget(r)
 	if err != nil {
@@ -592,9 +665,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	if !s.decode(w, r, at, &req) {
 		return
 	}
-	tValidate := time.Now()
 	row, warnings, err := s.activeState().val.Validate(req.Features, nil)
-	validateDur := time.Since(tValidate)
 	at.Step(obs.StageValidate)
 	if err != nil {
 		var verr *ValidationError
@@ -620,15 +691,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		// so /debug/traces shows where timed-out requests spent their
 		// time, then answer 504.
 		at.Step(obs.StageBatchWait)
-		at.SetShed(ShedDeadline.String())
-		s.metrics.timeouts.Add(1)
-		s.auditOutcome(at, audit.OutcomeShed, ShedDeadline.String())
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: traceIDOf(at)})
+		at.SetOutcome(obs.OutcomeShed, ShedDeadline.String())
+		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "scoring timed out", TraceID: at.TraceID()})
 		return
 	case err != nil:
-		s.metrics.errors.Add(1)
-		s.auditOutcome(at, audit.OutcomeError, err.Error())
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error(), TraceID: traceIDOf(at)})
+		s.writeError(w, at, http.StatusInternalServerError, err.Error(), nil, 0)
 		return
 	}
 	// The batcher measured where the submit interval actually went; fold
@@ -639,7 +706,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	at.SetBatch(bt.Size)
 	at.SetModel(st.version())
 	at.Mark()
-	s.metrics.recordsScored.Add(1)
 	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: st.version(), Warnings: warnings}
 	if score >= 0.5 {
 		resp.Prediction = 1
@@ -655,13 +721,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 	st.drift.quality.Record(resp.RequestID, resp.Prediction)
 	writeJSON(w, http.StatusOK, resp)
 	at.Step(obs.StageRespond)
-	s.auditScored(at, st, row, resp, audit.Stages{
-		ValidateUs:  validateDur.Microseconds(),
-		BatchWaitUs: bt.Wait.Microseconds(),
-		EncodeUs:    bt.Encode.Microseconds(),
-		ScoreUs:     bt.Distance.Microseconds(),
-	}, bt.Size)
-	s.metrics.ObserveLatencyTrace(time.Since(start), traceIDOf(at))
+	at.SetOutcome(obs.OutcomeScored, "")
+	return scored{st: st, row: row, resp: resp}
 }
 
 // handleScoreBatch scores an already-batched request directly through
@@ -670,11 +731,10 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 // whole request: validation, scoring, and attribution all see the same
 // version, and a concurrent promote retires the old model only after
 // this batch finishes.
-func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) {
+func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace) (sc scored) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	start := time.Now()
 	s.metrics.batchRequests.Add(1)
 	var req batchScoreRequest
 	if !s.decode(w, r, at, &req) {
@@ -742,35 +802,22 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request, at *ob
 	at.Mark()
 	preds := make([]int, len(scores))
 	ids := make([]string, len(scores))
-	for i, sc := range scores {
-		if sc >= 0.5 {
+	for i, score := range scores {
+		if score >= 0.5 {
 			preds[i] = 1
 		}
 		ids[i] = batchRequestID(at.ID(), i)
-		st.drift.scores.Observe(sc)
+		st.drift.scores.Observe(score)
 		st.drift.quality.Record(ids[i], preds[i])
 	}
-	s.metrics.recordsScored.Add(uint64(len(scores)))
-	writeJSON(w, http.StatusOK, batchScoreResponse{
+	resp := batchScoreResponse{
 		RequestIDs: ids, Scores: scores, Predictions: preds,
 		ModelVersion: st.version(), Warnings: allWarnings,
-	})
-	at.Step(obs.StageRespond)
-	if s.audit != nil {
-		// One audit event per record — each is an independent clinical
-		// decision with its own feedback handle. Encode/score time is the
-		// batch total amortized per record, matching the stage accum.
-		n := int64(len(rows))
-		stages := audit.Stages{
-			EncodeUs: (encTotal / time.Duration(n)).Microseconds(),
-			ScoreUs:  (distTotal / time.Duration(n)).Microseconds(),
-		}
-		for i, row := range rows {
-			sc := scoreResponse{RequestID: ids[i], Score: scores[i], Prediction: preds[i]}
-			s.auditScored(at, st, row, sc, stages, len(rows))
-		}
 	}
-	s.metrics.ObserveLatencyTrace(time.Since(start), traceIDOf(at))
+	writeJSON(w, http.StatusOK, resp)
+	at.Step(obs.StageRespond)
+	at.SetOutcome(obs.OutcomeScored, "")
+	return scored{st: st, rows: rows, batch: resp}
 }
 
 // requestBudget resolves one request's end-to-end scoring budget: the

@@ -145,7 +145,8 @@ func TestOverloadSoak(t *testing.T) {
 	wg.Wait()
 
 	accepted, rejected := ok.Load(), shed.Load()
-	t.Logf("soak: %d accepted, %d shed, peak queue %d", accepted, rejected, maxQueue.Load())
+	m := s.Metrics().Snapshot()
+	t.Logf("soak: %d accepted, %d shed, peak queue %d, accepted p99 %.0fµs", accepted, rejected, maxQueue.Load(), m.LatencyP99Micros)
 	if accepted == 0 {
 		t.Fatal("no requests accepted during the soak")
 	}
@@ -156,7 +157,6 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatalf("%d non-200/429 responses under overload", other.Load())
 	}
 
-	m := s.Metrics().Snapshot()
 	if m.ShedQueueFull != rejected {
 		t.Errorf("hdfe_shed_total{queue_full} = %d, clients saw %d rejections", m.ShedQueueFull, rejected)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/obs"
 	"hdfe/internal/synth"
 )
 
@@ -511,7 +512,7 @@ func TestDebugSLOEndpoint(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		at := s.tracer.Start("score")
-		at.SetShed(ShedQueueFull.String())
+		at.SetOutcome(obs.OutcomeShed, ShedQueueFull.String())
 		tr := at.Finish(429)
 		s.slo.Observe(tr.Status, tr.Total)
 	}

@@ -1,10 +1,11 @@
 #!/bin/sh
 # prof_smoke.sh boots hdserve with a fast continuous-profiling cadence,
 # drives batch-scoring load, and asserts the self-observability surface
-# end to end: a scheduled CPU capture lands in the ring with an encode
-# frame in its top table, the capture downloads as a valid gzipped pprof
-# blob, the hdfe_runtime_* and hdfe_prof_* metric families scrape, and
-# the watchdogs report state at /debug/prof. Run via `make prof-smoke`.
+# end to end: a scheduled CPU capture lands in the ring, downloads as a
+# valid gzipped pprof blob whose `go tool pprof -top` table names an
+# encode/hv frame, the hdfe_runtime_* and hdfe_prof_* metric families
+# scrape, and the watchdogs report state at /debug/prof. Run via
+# `make prof-smoke`.
 set -eu
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -64,17 +65,25 @@ printf '%s' "$BODY" >"$TMP/batch.json"
 ) &
 LOAD_PID=$!
 
-# Poll /debug/prof until a scheduled CPU capture's top table names a
-# hot-path frame (internal/encode or internal/hv).
+# Poll /debug/prof for the newest CPU capture (the ring lists newest
+# first), download each new one, and stop once `go tool pprof -top`
+# names a hot-path frame (internal/encode or internal/hv) in it.
 CAPTURE_ID=""
+CHECKED=""
 for _ in $(seq 1 300); do
     curl -sSf "http://$ADDR/debug/prof" >"$TMP/prof.json" 2>/dev/null || {
         sleep 0.1
         continue
     }
-    if grep -q 'internal/encode\|internal/hv' "$TMP/prof.json"; then
-        CAPTURE_ID=$(sed -n 's/.*"top_cpu":{"capture_id":\([0-9]*\).*/\1/p' "$TMP/prof.json" | head -n1)
-        [ -n "$CAPTURE_ID" ] && break
+    NEWEST=$(grep -o '"id":[0-9]*,"kind":"cpu"' "$TMP/prof.json" | head -n1 | sed 's/"id":\([0-9]*\).*/\1/')
+    if [ -n "$NEWEST" ] && [ "$NEWEST" != "$CHECKED" ]; then
+        CHECKED=$NEWEST
+        curl -sSf "http://$ADDR/debug/prof/$NEWEST" -o "$TMP/capture.pb.gz"
+        go tool pprof -top "$TMP/capture.pb.gz" >"$TMP/top.txt" 2>/dev/null || true
+        if grep -q 'internal/encode\|internal/hv' "$TMP/top.txt"; then
+            CAPTURE_ID=$NEWEST
+            break
+        fi
     fi
     sleep 0.1
 done
@@ -82,10 +91,11 @@ kill "$LOAD_PID" 2>/dev/null || true
 wait "$LOAD_PID" 2>/dev/null || true
 if [ -z "$CAPTURE_ID" ]; then
     echo "prof-smoke: no CPU capture with an encode/hv frame within 30s" >&2
-    cat "$TMP/prof.json" >&2
+    cat "$TMP/prof.json" "$TMP/top.txt" >&2 2>/dev/null || true
     exit 1
 fi
 echo "prof-smoke: hot-path CPU capture id=$CAPTURE_ID"
+grep -m 3 'internal/encode\|internal/hv' "$TMP/top.txt"
 
 # The index reports the effective cadence and the watchdog states.
 for field in '"interval_ms":500' '"watchdogs"' '"goroutines"' '"heap_slope"' '"gc_pause"'; do
