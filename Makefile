@@ -4,19 +4,15 @@
 # ordering e2e tests under it at 1, 2 and 4 Ps; `make fuzz-smoke` gives
 # each fuzz target a short budget; `make bench` times the bundling, level-encode and Hamming
 # kernels, paper-scale leave-one-out and a lone request through the
-# default microbatcher, and tracks the zero-allocation encode/score path;
-# `make obs-smoke` boots hdserve and asserts the /metrics surface;
-# `make trace-smoke` adds a mock OTLP collector and asserts the W3C
-# traceparent round trip, span export, exemplars, and /debug/slo;
-# `make prof-smoke` drives batch load against a fast profiling cadence
-# and asserts the capture ring, pprof downloads, and runtime families;
-# `make audit-smoke` serves with the decision audit trail on, then
-# verifies and replays the hash chain offline with hdaudit.
+# default microbatcher, and tracks the zero-allocation encode/score path.
+# hdserve's end-to-end checks (metrics, tracing and span export,
+# profiling, the audit trail) are Go tests in cmd/hdserve and
+# internal/serve, so `make test` runs them.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all fmt vet test test-race test-stress fuzz-smoke bench obs-smoke trace-smoke prof-smoke audit-smoke cover cover-baseline
+.PHONY: all fmt vet test test-race test-stress fuzz-smoke bench cover cover-baseline
 
 all: fmt vet test
 
@@ -37,9 +33,9 @@ test-race:
 # The timing- and ordering-sensitive e2e tests, repeated under the race
 # detector across GOMAXPROCS 1, 2 and 4: the recurrence guard for
 # failures that only show under contention or a particular P count.
-STRESS_TESTS = TestOverloadSoak|TestBatcherGroupCommit|TestBatcherCloseDrainsQueued|TestGracefulShutdownDrains|TestAuditChaosRaceE2E|TestGoroutineLeakWatchdogE2E|TestOneRecordAgreementE2E
+STRESS_TESTS = TestOverloadSoak|TestBatcherGroupCommit|TestBatcherCloseDrainsQueued|TestGracefulShutdownDrains|TestAuditChaosRaceE2E|TestGoroutineLeakWatchdogE2E|TestOneRecordAgreementE2E|TestRunTelemetrySurfaces
 test-stress:
-	$(GO) test -race -count=3 -cpu=1,2,4 -run '^($(STRESS_TESTS))$$' ./internal/serve ./internal/obs/prof
+	$(GO) test -race -count=3 -cpu=1,2,4 -run '^($(STRESS_TESTS))$$' ./internal/serve ./internal/obs/prof ./cmd/hdserve
 
 fuzz-smoke:
 	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzEncodeRecordInto$$' -fuzztime $(FUZZTIME)
@@ -57,18 +53,6 @@ bench:
 	$(GO) test ./internal/core -run '^$$' -bench 'TransformRecord|ScoreBatch' -benchmem
 	$(GO) test ./internal/ml/hamming -run '^$$' -bench 'LeaveOneOut' -benchmem
 	$(GO) test ./internal/serve -run '^$$' -bench 'BatcherLoneSubmit' -benchmem
-
-obs-smoke:
-	sh scripts/obs_smoke.sh
-
-trace-smoke:
-	sh scripts/trace_smoke.sh
-
-prof-smoke:
-	sh scripts/prof_smoke.sh
-
-audit-smoke:
-	sh scripts/audit_smoke.sh
 
 # Per-package coverage gate: fails only when a package drops more than
 # 2 points below scripts/coverage_baseline.txt. Refresh the baseline

@@ -1,24 +1,14 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"math"
-	"net/http"
-	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"hdfe/internal/core"
 	"hdfe/internal/synth"
 )
-
-// addrJSONRe pulls the bound address out of the JSON "serving" log line.
-var addrJSONRe = regexp.MustCompile(`"addr":"([^"]+:\d+)"`)
 
 // TestDriftDetectionEndToEnd drives the whole model-observability loop
 // through a real server: write a model artifact, serve it, send a
@@ -27,32 +17,8 @@ var addrJSONRe = regexp.MustCompile(`"addr":"([^"]+:\d+)"`)
 // close the loop with delayed labels through /v1/feedback and check the
 // rolling accuracy agrees with offline scoring of the same rows.
 func TestDriftDetectionEndToEnd(t *testing.T) {
-	model := filepath.Join(t.TempDir(), "dep.bin")
-	var out, errOut bytes.Buffer
-	if err := run(context.Background(), []string{"-write-demo", model, "-dim", "512", "-seed", "42"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stdout := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-model", model, "-addr", "127.0.0.1:0",
-			"-log-format", "json"}, stdout, &errOut)
-	}()
-	jsonAddrRe := addrJSONRe
-	var addr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" {
-		if m := jsonAddrRe.FindStringSubmatch(stdout.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("server never reported its address; stdout %q", stdout.String())
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	model := writeDemo(t, t.TempDir(), "dep.bin", 512, 42)
+	s := boot(t, "-model", model, "-log-format", "json")
 
 	// Build the shifted cohort: the training data with glucose moved up
 	// by two training standard deviations.
@@ -80,28 +46,19 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post("http://"+addr+"/v1/score/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var batch struct {
 		RequestIDs  []string  `json:"request_ids"`
 		Scores      []float64 `json:"scores"`
 		Predictions []int     `json:"predictions"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
+	s.post("/v1/score/batch", string(body), &batch)
 	if len(batch.RequestIDs) != len(d.X) || len(batch.Predictions) != len(d.X) {
 		t.Fatalf("batch response sizes ids=%d preds=%d, want %d",
 			len(batch.RequestIDs), len(batch.Predictions), len(d.X))
 	}
 
-	rep := fetchDriftReport(t, addr)
+	var rep driftReportView
+	s.getJSON("/debug/drift", &rep)
 	var glucose *featureDriftView
 	for i := range rep.Features {
 		if rep.Features[i].Feature == "Glucose" {
@@ -116,8 +73,8 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	}
 	// The /debug/drift call above ran the threshold evaluation, so the
 	// warning must already be in the structured log.
-	if !strings.Contains(stdout.String(), `"msg":"input drift detected"`) {
-		t.Errorf("no drift warning in the structured log; stdout %q", stdout.String())
+	if !strings.Contains(s.out.String(), `"msg":"input drift detected"`) {
+		t.Errorf("no drift warning in the structured log; stdout %q", s.out)
 	}
 
 	// Close the delayed-label loop: the true outcomes are the dataset
@@ -130,19 +87,12 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Post("http://"+addr+"/v1/feedback", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var fb struct {
 		Matched int `json:"matched"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&fb); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || fb.Matched != len(d.X) {
-		t.Fatalf("feedback status %d matched %d, want %d", resp.StatusCode, fb.Matched, len(d.X))
+	s.post("/v1/feedback", string(body), &fb)
+	if fb.Matched != len(d.X) {
+		t.Fatalf("feedback matched %d, want %d", fb.Matched, len(d.X))
 	}
 
 	// Rolling accuracy must agree with offline scoring of the identical
@@ -159,7 +109,7 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	}
 	offline := float64(correct) / float64(len(shifted))
 
-	rep = fetchDriftReport(t, addr)
+	s.getJSON("/debug/drift", &rep)
 	if rep.Quality.WindowLabels != uint64(len(d.X)) {
 		t.Fatalf("window labels %d, want %d (quality window must hold the cohort)",
 			rep.Quality.WindowLabels, len(d.X))
@@ -173,16 +123,6 @@ func TestDriftDetectionEndToEnd(t *testing.T) {
 	}
 	if rep.Quality.Canary == "" || rep.Quality.Canary == "disabled" {
 		t.Errorf("canary %q, want an active verdict", rep.Quality.Canary)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not exit after context cancellation")
 	}
 }
 
@@ -205,21 +145,4 @@ type driftReportView struct {
 		RollingAccuracy *float64 `json:"rolling_accuracy"`
 		Canary          string   `json:"canary"`
 	} `json:"quality"`
-}
-
-func fetchDriftReport(t *testing.T, addr string) driftReportView {
-	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("http://%s/debug/drift", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/drift status %d", resp.StatusCode)
-	}
-	var rep driftReportView
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	return rep
 }

@@ -17,7 +17,7 @@ import (
 	"time"
 )
 
-// syncBuffer lets the test read run()'s stdout while the server goroutine
+// syncBuffer lets the test read run()'s output while the server goroutine
 // is still writing to it.
 type syncBuffer struct {
 	mu  sync.Mutex
@@ -36,84 +36,182 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// The "serving" slog line carries the bound address as addr=HOST:PORT.
-var addrRe = regexp.MustCompile(`addr=(\S+:\d+)`)
+// servingRe pulls the bound address out of the "serving" log line in
+// either log format: addr=HOST:PORT (text) or "addr":"HOST:PORT" (JSON).
+var servingRe = regexp.MustCompile(`(?:msg=|"msg":")serving\b.*?\baddr(?:=|":")([^\s"]+)`)
 
-func TestRunWriteDemoAndServe(t *testing.T) {
-	model := filepath.Join(t.TempDir(), "dep.bin")
-	var out, errOut bytes.Buffer
-	if err := run(context.Background(), []string{"-write-demo", model, "-dim", "256"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "wrote demo deployment") || !strings.Contains(out.String(), "dim=256") {
-		t.Fatalf("write-demo output: %q", out.String())
-	}
+// hdserve is one server booted in-process through run().
+type hdserve struct {
+	t      *testing.T
+	addr   string
+	out    *syncBuffer // stdout and stderr
+	cancel context.CancelFunc
+	done   chan error // nil once run() has returned
+}
 
+// boot runs hdserve with args on 127.0.0.1:0, waits for its "serving"
+// line, and drains it on cleanup (or earlier, through stop).
+func boot(t *testing.T, args ...string) *hdserve {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stdout := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-model", model, "-addr", "127.0.0.1:0", "-name", "smoke"}, stdout, &errOut)
-	}()
-
-	// The listening line carries the real port (we bound port 0).
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if m := addrRe.FindStringSubmatch(stdout.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("server never reported its address; stdout %q", stdout.String())
-		} else {
-			time.Sleep(5 * time.Millisecond)
+	s := &hdserve{t: t, out: &syncBuffer{}, cancel: cancel, done: make(chan error, 1)}
+	args = append([]string{"-addr", "127.0.0.1:0"}, args...)
+	go func() { s.done <- run(ctx, args, s.out, s.out) }()
+	t.Cleanup(s.stop)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if m := servingRe.FindStringSubmatch(s.out.String()); m != nil {
+			s.addr = m[1]
+			return s
+		}
+		select {
+		case err := <-s.done:
+			s.done = nil
+			t.Fatalf("hdserve %v exited before serving: %v; output %q", args, err, s.out)
+		case <-time.After(5 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hdserve %v never reported its address; output %q", args, s.out)
 		}
 	}
+}
 
-	resp, err := http.Get("http://" + addr + "/healthz")
+// stop cancels the server and waits for run() to drain and return nil.
+func (s *hdserve) stop() {
+	if s.done == nil {
+		return
+	}
+	s.cancel()
+	select {
+	case err := <-s.done:
+		if err != nil {
+			s.t.Errorf("run returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		s.t.Error("run did not exit after context cancellation")
+	}
+	s.done = nil
+}
+
+// call sends one request; hdr holds header name/value pairs.
+func (s *hdserve) call(method, path, body string, hdr ...string) (*http.Response, []byte) {
+	s.t.Helper()
+	req, err := http.NewRequest(method, "http://"+s.addr+path, strings.NewReader(body))
 	if err != nil {
+		s.t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(hdr); i += 2 {
+		req.Header.Set(hdr[i], hdr[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return resp, b
+}
+
+// post sends a JSON body and decodes a 200 answer into v (when non-nil).
+func (s *hdserve) post(path, body string, v any, hdr ...string) {
+	s.t.Helper()
+	resp, b := s.call(http.MethodPost, path, body, hdr...)
+	if resp.StatusCode != http.StatusOK {
+		s.t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, b)
+	}
+	if v != nil {
+		if err := json.Unmarshal(b, v); err != nil {
+			s.t.Fatalf("POST %s: %v in %s", path, err, b)
+		}
+	}
+}
+
+// get fetches path, which must answer 200.
+func (s *hdserve) get(path string) string {
+	s.t.Helper()
+	resp, b := s.call(http.MethodGet, path, "")
+	if resp.StatusCode != http.StatusOK {
+		s.t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, b)
+	}
+	return string(b)
+}
+
+// getJSON decodes GET path into v.
+func (s *hdserve) getJSON(path string, v any) {
+	s.t.Helper()
+	if err := json.Unmarshal([]byte(s.get(path)), v); err != nil {
+		s.t.Fatalf("GET %s: %v", path, err)
+	}
+}
+
+// metric reads the value of one exposition sample, e.g.
+// `hdfe_shed_total{reason="queue_full"}`; ok is false when it is absent.
+func metric(exposition, sample string) (v float64, ok bool) {
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(sample) + ` (\S+)`).FindStringSubmatch(exposition)
+	if m == nil {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	return v, err == nil
+}
+
+// eventually polls cond for up to 10s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// writeDemo writes a demo deployment at dim and seed to dir/name and
+// returns its path.
+func writeDemo(t *testing.T, dir, name string, dim, seed int) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	var out bytes.Buffer
+	args := []string{"-write-demo", path, "-dim", strconv.Itoa(dim), "-seed", strconv.Itoa(seed)}
+	if err := run(context.Background(), args, &out, &out); err != nil {
 		t.Fatal(err)
 	}
+	if !strings.Contains(out.String(), "wrote demo deployment") || !strings.Contains(out.String(), "dim="+strconv.Itoa(dim)) {
+		t.Fatalf("write-demo output: %q", out.String())
+	}
+	return path
+}
+
+const record = `{"features":[2,120,70,25,100,30.5,0.4,40]}`
+
+func TestRunWriteDemoAndServe(t *testing.T) {
+	model := writeDemo(t, t.TempDir(), "dep.bin", 256, 42)
+	s := boot(t, "-model", model, "-name", "smoke")
+
 	var h struct {
 		Status string `json:"status"`
 		Model  string `json:"model"`
 		Dim    int    `json:"dim"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	s.getJSON("/healthz", &h)
 	if h.Status != "ok" || h.Model != "smoke" || h.Dim != 256 {
 		t.Fatalf("healthz %+v", h)
 	}
 
-	body := strings.NewReader(`{"features":[2,120,70,25,100,30.5,0.4,40]}`)
-	resp, err = http.Post("http://"+addr+"/v1/score", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sr struct {
-		Score float64 `json:"score"`
+		Score *float64 `json:"score"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || sr.Score < 0 || sr.Score > 1 {
-		t.Fatalf("score status %d value %v", resp.StatusCode, sr.Score)
+	s.post("/v1/score", record, &sr)
+	if sr.Score == nil || *sr.Score < 0 || *sr.Score > 1 {
+		t.Fatalf("score %v, want a value in [0, 1]", sr.Score)
 	}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not exit after context cancellation")
-	}
-	if !strings.Contains(stdout.String(), "drained and stopped") {
-		t.Fatalf("shutdown line missing from stdout: %q", stdout.String())
+	s.stop()
+	if !strings.Contains(s.out.String(), "drained and stopped") {
+		t.Fatalf("shutdown line missing from stdout: %q", s.out)
 	}
 }
 
@@ -121,49 +219,13 @@ func TestRunWriteDemoAndServe(t *testing.T) {
 // -log-format json emits machine-parseable request logs with trace IDs,
 // and -pprof mounts the profiling handlers.
 func TestRunJSONLogsAndPprof(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stdout := &syncBuffer{}
-	var errOut bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-demo", "-dim", "128", "-addr", "127.0.0.1:0",
-			"-log-format", "json", "-pprof"}, stdout, &errOut)
-	}()
-
-	jsonAddrRe := regexp.MustCompile(`"addr":"([^"]+:\d+)"`)
-	var addr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" {
-		if m := jsonAddrRe.FindStringSubmatch(stdout.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("server never reported its address; stdout %q", stdout.String())
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-
-	body := strings.NewReader(`{"features":[2,120,70,25,100,30.5,0.4,40]}`)
-	resp, err := http.Post("http://"+addr+"/v1/score", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("score status %d", resp.StatusCode)
-	}
+	s := boot(t, "-demo", "-dim", "128", "-log-format", "json", "-pprof")
+	s.post("/v1/score", record, nil)
 
 	// The request log line is JSON with trace_id/route/status/latency.
-	logDeadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(stdout.String(), `"msg":"request"`) {
-		if time.Now().After(logDeadline) {
-			t.Fatalf("no request log line; stdout %q", stdout.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(t, "a request log line", func() bool { return strings.Contains(s.out.String(), `"msg":"request"`) })
 	var reqLine map[string]any
-	for _, line := range strings.Split(stdout.String(), "\n") {
+	for _, line := range strings.Split(s.out.String(), "\n") {
 		if strings.Contains(line, `"msg":"request"`) {
 			if err := json.Unmarshal([]byte(line), &reqLine); err != nil {
 				t.Fatalf("request log line %q: %v", line, err)
@@ -175,33 +237,9 @@ func TestRunJSONLogsAndPprof(t *testing.T) {
 		t.Errorf("request log %v", reqLine)
 	}
 
-	resp, err = http.Get("http://" + addr + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof index status %d with -pprof", resp.StatusCode)
-	}
-
-	resp, err = http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(prom), "hdserve_stage_duration_seconds_bucket") {
+	s.get("/debug/pprof/")
+	if prom := s.get("/metrics"); !strings.Contains(prom, "hdserve_stage_duration_seconds_bucket") {
 		t.Errorf("/metrics missing stage histograms:\n%.400s", prom)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not exit after context cancellation")
 	}
 }
 
@@ -211,36 +249,9 @@ func TestRunJSONLogsAndPprof(t *testing.T) {
 // model_version metric labels track every step.
 func TestRunModelLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	modelA := filepath.Join(dir, "a.bin")
-	modelB := filepath.Join(dir, "b.bin")
-	var out, errOut bytes.Buffer
-	if err := run(context.Background(), []string{"-write-demo", modelA, "-dim", "128", "-seed", "42"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-write-demo", modelB, "-dim", "128", "-seed", "43"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stdout := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-model", modelA, "-shadow", modelB, "-name", "boot",
-			"-addr", "127.0.0.1:0"}, stdout, &errOut)
-	}()
-
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if m := addrRe.FindStringSubmatch(stdout.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("server never reported its address; stdout %q", stdout.String())
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	modelA := writeDemo(t, dir, "a.bin", 128, 42)
+	modelB := writeDemo(t, dir, "b.bin", 128, 43)
+	s := boot(t, "-model", modelA, "-shadow", modelB, "-name", "boot")
 
 	type info struct {
 		Version uint64 `json:"version"`
@@ -254,17 +265,8 @@ func TestRunModelLifecycle(t *testing.T) {
 		Swaps  uint64 `json:"swaps"`
 		Loaded []info `json:"loaded"`
 	}
-	getModels := func() models {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + "/v1/models")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m models
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
+	getModels := func() (m models) {
+		s.getJSON("/v1/models", &m)
 		return m
 	}
 
@@ -280,32 +282,23 @@ func TestRunModelLifecycle(t *testing.T) {
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for getModels().Active.Version != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("SIGHUP reload never landed; registry %+v stdout %q", getModels(), stdout.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(t, "the SIGHUP reload", func() bool { return getModels().Active.Version == 3 })
 	m = getModels()
 	if m.Active.Path != modelA || m.Swaps != 1 {
 		t.Fatalf("after SIGHUP: %+v", m)
 	}
-	if !strings.Contains(stdout.String(), "model reloaded") {
-		t.Errorf("no reload log line; stdout %q", stdout.String())
+	if !strings.Contains(s.out.String(), "model reloaded") {
+		t.Errorf("no reload log line; stdout %q", s.out)
+	}
+	var sr struct {
+		ModelVersion uint64 `json:"model_version"`
+	}
+	if s.post("/v1/score", record, &sr); sr.ModelVersion != 3 {
+		t.Errorf("score after SIGHUP attributed to version %d, want 3", sr.ModelVersion)
 	}
 
 	// The admin endpoint promotes a different artifact as version 4.
-	resp, err := http.Post("http://"+addr+"/admin/models/load", "application/json",
-		strings.NewReader(`{"path":`+strconv.Quote(modelB)+`,"name":"b"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("admin load status %d body %s", resp.StatusCode, loadBody)
-	}
+	s.post("/admin/models/load", `{"path":`+strconv.Quote(modelB)+`,"name":"b"}`, nil)
 	m = getModels()
 	if m.Active.Version != 4 || m.Active.Name != "b" || m.Swaps != 2 || len(m.Loaded) != 4 {
 		t.Fatalf("after admin load: %+v", m)
@@ -313,44 +306,17 @@ func TestRunModelLifecycle(t *testing.T) {
 
 	// Scoring now attributes to version 4, and the exposition carries the
 	// model_version label plus the swap counter.
-	resp, err = http.Post("http://"+addr+"/v1/score", "application/json",
-		strings.NewReader(`{"features":[2,120,70,25,100,30.5,0.4,40]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sr struct {
-		ModelVersion uint64 `json:"model_version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sr.ModelVersion != 4 {
+	if s.post("/v1/score", record, &sr); sr.ModelVersion != 4 {
 		t.Errorf("score attributed to version %d, want 4", sr.ModelVersion)
 	}
-	resp, err = http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	prom := s.get("/metrics")
 	for _, want := range []string{
 		"hdserve_model_swaps_total 2",
 		`model_version="4"`,
 	} {
-		if !strings.Contains(string(prom), want) {
+		if !strings.Contains(prom, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not exit after context cancellation")
 	}
 }
 

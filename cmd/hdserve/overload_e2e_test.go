@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestRunOverloadFlags drives the overload-protection flags through the
@@ -16,31 +15,12 @@ import (
 // forces concurrent clients to split into admitted requests and 429s
 // carrying Retry-After, with the sheds visible in /metrics.
 func TestRunOverloadFlags(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stdout := &syncBuffer{}
-	var errOut bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-demo", "-dim", "128", "-addr", "127.0.0.1:0",
-			"-max-inflight", "1", "-retry-after", "2s",
-			"-chaos-spec", "batch:p=1,delay=250ms", "-chaos-seed", "7",
-			"-request-timeout", "5s"}, stdout, &errOut)
-	}()
-
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if m := addrRe.FindStringSubmatch(stdout.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("server never reported its address; stdout %q stderr %q", stdout.String(), errOut.String())
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if !strings.Contains(stdout.String(), "chaos injection enabled") {
-		t.Fatalf("-chaos-spec did not log the chaos warning: %q", stdout.String())
+	s := boot(t, "-demo", "-dim", "128",
+		"-max-inflight", "1", "-retry-after", "2s",
+		"-chaos-spec", "batch:p=1,delay=250ms", "-chaos-seed", "7",
+		"-request-timeout", "5s")
+	if !strings.Contains(s.out.String(), "chaos injection enabled") {
+		t.Fatalf("-chaos-spec did not log the chaos warning: %q", s.out)
 	}
 
 	// Four concurrent clients against a 1-record budget held ~250ms by
@@ -56,8 +36,7 @@ func TestRunOverloadFlags(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post("http://"+addr+"/v1/score", "application/json",
-				strings.NewReader(`{"features":[2,120,70,25,100,30.5,0.4,40]}`))
+			resp, err := http.Post("http://"+s.addr+"/v1/score", "application/json", strings.NewReader(record))
 			if err != nil {
 				t.Error(err)
 				return
@@ -83,41 +62,14 @@ func TestRunOverloadFlags(t *testing.T) {
 		t.Fatalf("%d accepted / %d shed of %d clients; want both nonzero", ok, shed, clients)
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	metrics := body.String()
-	found := false
-	for _, line := range strings.Split(metrics, "\n") {
-		if rest, ok := strings.CutPrefix(line, `hdfe_shed_total{reason="queue_full"} `); ok {
-			n, err := strconv.Atoi(rest)
-			if err != nil || n < shed {
-				t.Errorf("hdfe_shed_total{queue_full} = %q, clients saw %d rejections", rest, shed)
-			}
-			found = true
-		}
-	}
-	if !found {
+	metrics := s.get("/metrics")
+	if n, found := metric(metrics, `hdfe_shed_total{reason="queue_full"}`); !found {
 		t.Error("hdfe_shed_total{reason=\"queue_full\"} missing from /metrics")
+	} else if n < float64(shed) {
+		t.Errorf("hdfe_shed_total{queue_full} = %v, clients saw %d rejections", n, shed)
 	}
 	if !strings.Contains(metrics, "hdserve_inflight_records") {
 		t.Error("hdserve_inflight_records missing from /metrics")
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("run did not exit after context cancellation")
 	}
 }
 

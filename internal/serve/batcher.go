@@ -22,11 +22,10 @@ var ErrClosed = errors.New("serve: batcher closed")
 var ErrQueueFull = errors.New("serve: batcher queue full")
 
 // BatchTimings is the per-request cost breakdown the batch loop reports
-// back to each submitter: how long the record waited for its batch to
-// form, its amortized share of the batch's encode and distance time, and
-// the batch size it was scored in.
+// back to each submitter: its amortized share of the batch's encode and
+// distance time, and the batch size it was scored in. The submitter
+// counts the rest of its wait as batch_wait.
 type BatchTimings struct {
-	Wait     time.Duration // enqueue → batch handed to ScoreBatch
 	Encode   time.Duration // batch encode time / batch size
 	Distance time.Duration // batch distance time / batch size
 	Size     int
@@ -43,7 +42,6 @@ type request struct {
 	ctx     context.Context
 	row     []float64
 	tc      obs.TraceContext // the submitter's W3C trace identity (may be zero)
-	enq     time.Time
 	timings BatchTimings
 	st      *modelState // the model that scored this request
 	resp    chan float64
@@ -120,7 +118,7 @@ func (b *Batcher) Draining() bool {
 // by the batch loop, so callers must not reuse it until submitTimed
 // returns.
 func (b *Batcher) submitTimed(ctx context.Context, row []float64, tc obs.TraceContext) (float64, BatchTimings, *modelState, error) {
-	req := &request{ctx: ctx, row: row, tc: tc, enq: time.Now(), resp: make(chan float64, 1)}
+	req := &request{ctx: ctx, row: row, tc: tc, resp: make(chan float64, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -223,7 +221,6 @@ func (b *Batcher) loop() {
 		if len(batch) == 0 {
 			continue
 		}
-		formed := time.Now()
 		// Acquire the active model once for the whole batch: every record
 		// is scored by the same version, and a model swapped out mid-batch
 		// stays alive (its Drained channel open) until the reference is
@@ -246,7 +243,6 @@ func (b *Batcher) loop() {
 		encPer, distPer := encTotal/n, distTotal/n
 		for i, r := range batch {
 			r.timings = BatchTimings{
-				Wait:     formed.Sub(r.enq),
 				Encode:   encPer,
 				Distance: distPer,
 				Size:     len(batch),

@@ -125,8 +125,8 @@ func TestBatcherSubmitHonoursContext(t *testing.T) {
 }
 
 // TestBatcherSubmitTimedReportsStages pins the per-request cost
-// breakdown the batch loop hands back: real batch-wait time, amortized
-// encode/distance shares, the batch size, and the scoring model's state.
+// breakdown the batch loop hands back: amortized encode/distance
+// shares, the batch size, and the scoring model's state.
 func TestBatcherSubmitTimedReportsStages(t *testing.T) {
 	dep := testDeployment(t, 128)
 	b := testBatcher(t, dep, 16, nil)
@@ -162,8 +162,8 @@ func TestBatcherSubmitTimedReportsStages(t *testing.T) {
 		if bt.Size < 1 || bt.Size > 16 {
 			t.Errorf("batch size %d outside [1, 16]", bt.Size)
 		}
-		if bt.Wait < 0 || bt.Encode <= 0 || bt.Distance < 0 {
-			t.Errorf("timings %+v, want wait>=0, encode>0, distance>=0", bt)
+		if bt.Encode <= 0 || bt.Distance < 0 {
+			t.Errorf("timings %+v, want encode>0, distance>=0", bt)
 		}
 	}
 	if n != 32 {

@@ -183,31 +183,32 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req feedbackRequest
-	if !s.decode(w, r, nil, &req) {
+	if err := s.decodeBody(w, r, &req); err != nil {
+		s.rejectUntraced(w, "feedback", http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	items := req.Items
 	if req.RequestID != "" || req.Label != nil {
 		if len(items) > 0 {
-			s.writeError(w, nil, http.StatusBadRequest,
-				"send either an inline request_id/label or items, not both", nil, 0)
+			s.rejectUntraced(w, "feedback", http.StatusBadRequest,
+				"send either an inline request_id/label or items, not both", 0)
 			return
 		}
 		items = []feedbackItem{{RequestID: req.RequestID, Label: req.Label}}
 	}
 	if len(items) == 0 {
-		s.writeError(w, nil, http.StatusBadRequest, "no feedback items", nil, 0)
+		s.rejectUntraced(w, "feedback", http.StatusBadRequest, "no feedback items", 0)
 		return
 	}
 	for i, it := range items {
 		if it.RequestID == "" {
-			s.writeError(w, nil, http.StatusBadRequest,
-				fmt.Sprintf("item %d: missing request_id", i), nil, i)
+			s.rejectUntraced(w, "feedback", http.StatusBadRequest,
+				fmt.Sprintf("item %d: missing request_id", i), i)
 			return
 		}
 		if it.Label == nil || (*it.Label != 0 && *it.Label != 1) {
-			s.writeError(w, nil, http.StatusBadRequest,
-				fmt.Sprintf("item %d: label must be 0 or 1", i), nil, i)
+			s.rejectUntraced(w, "feedback", http.StatusBadRequest,
+				fmt.Sprintf("item %d: label must be 0 or 1", i), i)
 			return
 		}
 	}

@@ -232,11 +232,12 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadModelRequest
-	if !s.decode(w, r, nil, &req) {
+	if err := s.decodeBody(w, r, &req); err != nil {
+		s.rejectUntraced(w, "model_load", http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	if req.Path == "" {
-		s.writeError(w, nil, http.StatusBadRequest, "missing path", nil, 0)
+		s.rejectUntraced(w, "model_load", http.StatusBadRequest, "missing path", 0)
 		return
 	}
 	var (
@@ -251,7 +252,7 @@ func (s *Server) handleLoadModel(w http.ResponseWriter, r *http.Request) {
 		info, err = s.LoadAndPromote(req.Path, req.Name)
 	}
 	if err != nil {
-		s.writeError(w, nil, http.StatusUnprocessableEntity, err.Error(), nil, 0)
+		s.rejectUntraced(w, "model_load", http.StatusUnprocessableEntity, err.Error(), 0)
 		return
 	}
 	writeJSON(w, http.StatusOK, loadModelResponse{Role: role, Model: info})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"hdfe/internal/chaos"
+	"hdfe/internal/core"
 	"hdfe/internal/obs"
 	"hdfe/internal/obs/audit"
 	"hdfe/internal/synth"
@@ -24,7 +26,8 @@ import (
 // /debug/traces. It drives every outcome through one audited server:
 // scored, validation error, other errors, a wrong method, a deadline
 // shed, a queue-full shed, a client batch, and rejected calls to the
-// untraced /v1/feedback and /admin/models/load routes.
+// untraced /v1/feedback and /admin/models/load routes, which are
+// audited with their route and reason but no trace.
 func TestOneRecordAgreementE2E(t *testing.T) {
 	// Every microbatch stalls, so one lone request can hold the single
 	// admission slot while a second is shed, and a short client deadline
@@ -159,10 +162,18 @@ func TestOneRecordAgreementE2E(t *testing.T) {
 		perTrace[ev.TraceID]++
 		census[ev.Outcome]++
 	}
-	if census[audit.OutcomeScored] != 7 || census[audit.OutcomeError] != 5 || census[audit.OutcomeShed] != 2 {
-		t.Errorf("audit census %v, want 7 scored, 5 error, 2 shed", census)
+	if census[audit.OutcomeScored] != 7 || census[audit.OutcomeError] != 7 || census[audit.OutcomeShed] != 2 {
+		t.Errorf("audit census %v, want 7 scored, 7 error, 2 shed", census)
 	}
+	untraced := map[string]int{}
 	for _, ev := range events {
+		if ev.TraceID == "" {
+			if ev.Outcome != audit.OutcomeError || ev.Reason == "" {
+				t.Errorf("seq %d: untraced event %+v, want an error with its reason", ev.Seq, ev)
+			}
+			untraced[ev.Route]++
+			continue
+		}
 		tv, ok := traces[ev.TraceID]
 		if !ok {
 			t.Errorf("seq %d: trace %q not in /debug/traces", ev.Seq, ev.TraceID)
@@ -196,6 +207,46 @@ func TestOneRecordAgreementE2E(t *testing.T) {
 				t.Errorf("seq %d: error event on trace %s", ev.Seq, fmt.Sprint(tv))
 			}
 		}
+	}
+	if untraced["feedback"] != 1 || untraced["model_load"] != 1 || len(untraced) != 2 {
+		t.Errorf("untraced audit events by route %v, want one feedback and one model_load", untraced)
+	}
+}
+
+// slowScorer sleeps after scoring each batch: batch-side time that the
+// batcher's encode and distance timings do not cover.
+type slowScorer struct{ core.Scorer }
+
+func (s slowScorer) ScoreBatchIntoObserved(rows [][]float64, dst []float64, o core.StageObserver) []float64 {
+	dst = s.Scorer.ScoreBatchIntoObserved(rows, dst, o)
+	time.Sleep(50 * time.Millisecond)
+	return dst
+}
+
+// TestScoreStagesAddUpToTotal pins that a /v1/score trace's stages
+// account for its total: batch-side time outside the measured encode
+// and distance shares counts as batch_wait instead of falling between
+// stages.
+func TestScoreStagesAddUpToTotal(t *testing.T) {
+	s := New(slowScorer{testDeployment(t, 128)}, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/score", scoreRequest{Features: floats(synth.PimaM(7).X[0]...)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("score: status %d: %s", resp.StatusCode, body)
+	}
+	recent, _ := s.Tracer().TraceViews()
+	if len(recent) != 1 {
+		t.Fatalf("%d traces, want 1", len(recent))
+	}
+	tv := recent[0]
+	sum := 0.0
+	for _, us := range tv.Stages {
+		sum += us
+	}
+	if gap := usToDuration(tv.TotalMicros - sum); gap >= 10*time.Millisecond {
+		t.Errorf("total %vµs minus stages %v leaves %v unattributed, want < 10ms", tv.TotalMicros, tv.Stages, gap)
 	}
 }
 

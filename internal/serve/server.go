@@ -600,26 +600,40 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError answers with an error body and annotates the record with
 // the outcome: a validation error when the 400 carries per-field
-// details, any other error otherwise. Untraced routes (nil at) have no
-// record to derive from, so their outcome is counted here.
+// details, any other error otherwise.
 func (s *Server) writeError(w http.ResponseWriter, at *obs.ActiveTrace, status int, msg string, details []FieldError, record int) {
 	o := obs.OutcomeError
 	if status == http.StatusBadRequest && details != nil {
 		o = obs.OutcomeInvalid
 	}
-	if at == nil {
-		s.metrics.countOutcome(o, msg)
-	}
 	at.SetOutcome(o, msg)
 	writeJSON(w, status, errorResponse{Error: msg, TraceID: at.TraceID(), Details: details, Record: record})
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace, v any) bool {
+// rejectUntraced answers an error on an untraced route (/v1/feedback,
+// /admin/models/load). There is no record to derive its views from, so
+// the error is counted and audited here, with its route and reason.
+func (s *Server) rejectUntraced(w http.ResponseWriter, route string, status int, msg string, record int) {
+	s.metrics.countOutcome(obs.OutcomeError, msg)
+	s.audit.Enqueue(audit.Event{Route: route, Outcome: audit.OutcomeError, Reason: msg})
+	writeJSON(w, status, errorResponse{Error: msg, Record: record})
+}
+
+// decodeBody reads a JSON request body, bounded by MaxBodyBytes and
+// refusing unknown fields.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		s.writeError(w, at, http.StatusBadRequest, "malformed request body: "+err.Error(), nil, 0)
+		return fmt.Errorf("malformed request body: %w", err)
+	}
+	return nil
+}
+
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, at *obs.ActiveTrace, v any) bool {
+	if err := s.decodeBody(w, r, v); err != nil {
+		s.writeError(w, at, http.StatusBadRequest, err.Error(), nil, 0)
 		return false
 	}
 	return true
@@ -698,14 +712,16 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request, at *obs.Act
 		s.writeError(w, at, http.StatusInternalServerError, err.Error(), nil, 0)
 		return
 	}
-	// The batcher measured where the submit interval actually went; fold
-	// its breakdown in and restart the stage clock for the response.
-	at.Add(obs.StageBatchWait, bt.Wait)
+	// The batcher measured this record's share of encode and distance;
+	// the rest of the submit interval (queueing, the batch's other
+	// records, the shadow copy, delivery and wake-up) is batch_wait, so
+	// the stages add up to the request's total.
 	at.Add(obs.StageEncode, bt.Encode)
 	at.Add(obs.StageScore, bt.Distance)
+	at.Add(obs.StageBatchWait, -(bt.Encode + bt.Distance))
+	at.Step(obs.StageBatchWait)
 	at.SetBatch(bt.Size)
 	at.SetModel(st.version())
-	at.Mark()
 	resp := scoreResponse{RequestID: requestID(at.ID()), Score: score, ModelVersion: st.version(), Warnings: warnings}
 	if score >= 0.5 {
 		resp.Prediction = 1
